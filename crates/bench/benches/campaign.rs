@@ -1,12 +1,10 @@
-//! Campaign-pipeline bench: the streaming runner (lazy Gray expansion +
-//! work stealing + neighbour-incremental analysis) against the
-//! materialized `run_matrix` baseline on the same matrix, plus the
-//! streaming runner's single-thread scaling point.
+//! Campaign-pipeline bench: the scenario runner (lazy Gray expansion +
+//! work stealing + neighbour-incremental analysis) on one matrix,
+//! streamed with one and four workers, and collected into a
+//! materialized run (one worker, every cell kept in expansion order).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wcet_bench::scenario::{
-    parse_matrix, run_campaign, run_matrix, CampaignOptions, MatrixOptions, ScenarioMatrix,
-};
+use wcet_bench::scenario::{parse_matrix, run_campaign, CampaignOptions, ScenarioMatrix};
 
 /// A mid-size slice of the campaign shape: every delta class (cycle
 /// limit, bus/timing, full) is exercised, small enough for criterion.
@@ -25,7 +23,18 @@ fn bench_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("streaming_vs_materialized");
     g.sample_size(10);
     g.bench_function("materialized", |b| {
-        b.iter(|| run_matrix(&matrix, &MatrixOptions::default()).cells.len())
+        b.iter(|| {
+            run_campaign(
+                &matrix,
+                &CampaignOptions {
+                    threads: 1,
+                    keep_cells: true,
+                    ..CampaignOptions::default()
+                },
+            )
+            .cells
+            .len()
+        })
     });
     for threads in [1usize, 4] {
         g.bench_with_input(

@@ -1,225 +1,165 @@
-//! Report-only perf trend: per-experiment `wall_ms` delta between two
-//! `BENCH_results.json` documents (typically the checked-in baseline vs
-//! a fresh `run_all`). Never fails the build — timing on shared CI
-//! runners is noisy, so the numbers are printed for humans, not gated:
+//! Report-only perf trend between two `BENCH_results.json` documents
+//! (typically the checked-in baseline vs a fresh `run_all`): the
+//! per-experiment `wall_ms` delta and deterministic effort counters,
+//! the suite total, and the campaign, serve and load headline numbers.
+//! Never fails the build — timing on shared CI runners is noisy, so the
+//! numbers are printed for humans, not gated:
 //!
 //! ```sh
 //! cargo run --release -p wcet-bench --bin perf_trend -- \
 //!     baseline/BENCH_results.json BENCH_results.json
 //! ```
 //!
-//! Understands schema 5's deterministic effort counters (worklist
-//! fixpoint evaluations vs the naive-sweep equivalent, simulator cycles
-//! fast-forwarded), schema 6's `campaign` block (streaming-campaign
-//! throughput in cells/sec, dedup and reuse rates), and schema 7's
-//! supervision counters (cell failures, cold retries, resume
-//! fast-forward distance), and schema 8's `serve` block (the analysis
-//! server's request throughput and hot-memo hit rate), and schema 9's
-//! suite-level `total_ms` plus the word-kernel effort counter
-//! (`fixpoint.kernel_words`), and schema 10's `load` block (the
-//! open-system load pass: throughput, latency percentiles, shed/retry
-//! counts) — and still accepts older documents: absent sections and
-//! counters render as `—`, so the trend step keeps comparing against
-//! the previous run across schema bumps (a schema-9 baseline against a
-//! schema-10 current run is the expected case right after the bump).
+//! Both documents must carry the same schema. CI always diffs the
+//! checked-in document against a fresh run of the same tree, and a
+//! change that bumps the schema regenerates the checked-in document, so
+//! the two sides never differ there; handed two different schemas, the
+//! tool says so in one line and exits 0.
 
 use std::process::ExitCode;
 
 use wcet_bench::json::Json;
 use wcet_core::report::Table;
 
-/// One experiment's measurements from either schema.
+/// One experiment's measurements.
 struct ExpEntry {
     id: String,
     wall_ms: f64,
-    /// Schema 5: `(evaluated, sweep_evals)` of the fixpoint engine.
-    fixpoint: Option<(u64, u64)>,
-    /// Schema 5: simulator cycles skipped by event fast-forwarding.
-    skipped_cycles: Option<u64>,
-    /// Schema 9: 64-bit words pushed through the domain kernels.
-    kernel_words: Option<u64>,
+    /// Deterministic effort counters; `None` for subprocess experiments,
+    /// which cannot report them.
+    effort: Option<Effort>,
 }
 
-/// `experiments[]` rows of one document (schema 4 and 5 both parse; the
-/// schema-5 members are simply absent on older documents).
-fn walls(doc: &Json) -> Vec<ExpEntry> {
-    doc.get("experiments")
-        .and_then(Json::as_arr)
-        .map(|exps| {
-            exps.iter()
-                .filter_map(|e| {
-                    Some(ExpEntry {
-                        id: e.get("id")?.as_str()?.to_string(),
-                        wall_ms: e.get("wall_ms")?.as_f64()?,
-                        fixpoint: e
-                            .get_path(&["fixpoint", "evaluated"])
-                            .and_then(Json::as_u64)
-                            .zip(
-                                e.get_path(&["fixpoint", "sweep_evals"])
-                                    .and_then(Json::as_u64),
-                            ),
-                        skipped_cycles: e
-                            .get_path(&["sim_skip", "skipped_cycles"])
-                            .and_then(Json::as_u64),
-                        kernel_words: e
-                            .get_path(&["fixpoint", "kernel_words"])
-                            .and_then(Json::as_u64),
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+/// Worklist-fixpoint evaluations vs the naive-sweep equivalent,
+/// simulator cycles fast-forwarded, and 64-bit words pushed through the
+/// domain kernels.
+#[derive(Clone, Copy)]
+struct Effort {
+    evaluated: u64,
+    sweep_evals: u64,
+    skipped_cycles: u64,
+    kernel_words: u64,
 }
 
-/// Renders an optional counter.
-fn opt(v: Option<u64>) -> String {
-    v.map_or_else(|| "—".into(), |v| v.to_string())
+fn effort(experiment: &Json) -> Option<Effort> {
+    let count = |path: &[&str]| experiment.get_path(path).and_then(Json::as_u64);
+    Some(Effort {
+        evaluated: count(&["fixpoint", "evaluated"])?,
+        sweep_evals: count(&["fixpoint", "sweep_evals"])?,
+        skipped_cycles: count(&["sim_skip", "skipped_cycles"])?,
+        kernel_words: count(&["fixpoint", "kernel_words"])?,
+    })
 }
 
-/// The schema-6 streaming-campaign headline numbers of one document.
-/// `None` for older documents (schema ≤ 5 has no `campaign` block).
-struct CampaignEntry {
+/// The streaming campaign's cold-run throughput, reuse and supervision.
+#[derive(Clone, Copy)]
+struct Campaign {
     cells_per_sec: f64,
-    unique: Option<u64>,
-    dedup_rate: Option<f64>,
-    neighbor_hit_rate: Option<f64>,
-    disk_hit_rate: Option<f64>,
-    /// Schema 7: supervised-cell failures of the cold pass (absent on
-    /// schema-6 baselines).
-    failures: Option<u64>,
-    /// Schema 7: odometer positions the resume pass fast-forwarded.
-    resume_fast_forwarded: Option<u64>,
+    unique: u64,
+    dedup_rate: f64,
+    neighbor_hit_rate: f64,
+    disk_hit_rate: f64,
+    failures: u64,
+    resume_fast_forwarded: u64,
 }
 
-fn campaign(doc: &Json) -> Option<CampaignEntry> {
-    let block = doc.get("campaign")?;
-    Some(CampaignEntry {
-        cells_per_sec: block
-            .get_path(&["cold", "cells_per_sec"])
-            .and_then(Json::as_f64)?,
-        unique: block.get_path(&["cold", "unique"]).and_then(Json::as_u64),
-        dedup_rate: block.get("dedup_rate").and_then(Json::as_f64),
-        neighbor_hit_rate: block.get("neighbor_hit_rate").and_then(Json::as_f64),
-        disk_hit_rate: block.get("disk_hit_rate").and_then(Json::as_f64),
-        failures: block.get_path(&["cold", "failures"]).and_then(Json::as_u64),
-        resume_fast_forwarded: block
-            .get_path(&["resume", "resumed", "resumed"])
-            .and_then(Json::as_u64),
-    })
-}
-
-/// Renders an optional rate as a percentage.
-fn pct(v: Option<f64>) -> String {
-    v.map_or_else(|| "—".into(), |v| format!("{:.1}%", v * 100.0))
-}
-
-/// One side of the campaign comparison, or `—`s when the document
-/// predates schema 6 (the schema-7 columns likewise render `—` for a
-/// schema-6 side).
-fn campaign_cells(e: Option<&CampaignEntry>) -> [String; 7] {
-    match e {
-        Some(e) => [
-            format!("{:.0}", e.cells_per_sec),
-            opt(e.unique),
-            pct(e.dedup_rate),
-            pct(e.neighbor_hit_rate),
-            pct(e.disk_hit_rate),
-            opt(e.failures),
-            opt(e.resume_fast_forwarded),
-        ],
-        None => std::array::from_fn(|_| "—".into()),
-    }
-}
-
-/// The schema-8 serving-pass headline numbers of one document. `None`
-/// for older documents (schema ≤ 7 has no `serve` block).
-struct ServeEntry {
+/// The serving pass: request throughput and hot-memo behaviour.
+#[derive(Clone, Copy)]
+struct Serve {
     req_per_sec: f64,
-    requests: Option<u64>,
-    hot_hit_rate: Option<f64>,
-    evictions: Option<u64>,
-    identical: Option<bool>,
+    requests: u64,
+    hot_hit_rate: f64,
+    evictions: u64,
+    identical: bool,
 }
 
-fn serve(doc: &Json) -> Option<ServeEntry> {
-    let block = doc.get("serve")?;
-    Some(ServeEntry {
-        req_per_sec: block.get("req_per_sec").and_then(Json::as_f64)?,
-        requests: block.get("requests").and_then(Json::as_u64),
-        hot_hit_rate: block.get("hot_hit_rate").and_then(Json::as_f64),
-        evictions: block.get("evictions").and_then(Json::as_u64),
-        identical: match block.get("identical_bounds") {
-            Some(Json::Bool(b)) => Some(*b),
-            _ => None,
-        },
-    })
-}
-
-/// One side of the serving comparison, or `—`s when the document
-/// predates schema 8.
-fn serve_cells(e: Option<&ServeEntry>) -> [String; 5] {
-    match e {
-        Some(e) => [
-            format!("{:.1}", e.req_per_sec),
-            opt(e.requests),
-            pct(e.hot_hit_rate),
-            opt(e.evictions),
-            e.identical
-                .map_or_else(|| "—".into(), |b| if b { "yes" } else { "NO" }.into()),
-        ],
-        None => std::array::from_fn(|_| "—".into()),
-    }
-}
-
-/// The schema-10 open-system load-pass headline numbers of one document.
-/// `None` for older documents (schema ≤ 9 has no `load` block).
-struct LoadEntry {
+/// The open-system load pass.
+#[derive(Clone, Copy)]
+struct Load {
     throughput_rps: f64,
-    completed: Option<u64>,
-    p50_ms: Option<f64>,
-    p99_ms: Option<f64>,
-    shed: Option<u64>,
-    retries: Option<u64>,
-    identical: Option<bool>,
+    completed: u64,
+    p50_ms: f64,
+    p99_ms: f64,
+    shed: u64,
+    retries: u64,
+    identical: bool,
 }
 
-fn load_block(doc: &Json) -> Option<LoadEntry> {
-    let block = doc.get("load")?;
-    Some(LoadEntry {
-        throughput_rps: block.get("throughput_rps").and_then(Json::as_f64)?,
-        completed: block.get("completed").and_then(Json::as_u64),
-        p50_ms: block.get("p50_ms").and_then(Json::as_f64),
-        p99_ms: block.get("p99_ms").and_then(Json::as_f64),
-        shed: block.get("shed").and_then(Json::as_u64),
-        retries: block.get("retries").and_then(Json::as_u64),
-        identical: match block.get("identical_bounds") {
-            Some(Json::Bool(b)) => Some(*b),
-            _ => None,
+/// The headline numbers of one document.
+struct Doc {
+    total_ms: f64,
+    experiments: Vec<ExpEntry>,
+    campaign: Campaign,
+    serve: Serve,
+    load: Load,
+}
+
+fn parse(doc: &Json) -> Option<Doc> {
+    let f64_at = |path: &[&str]| doc.get_path(path).and_then(Json::as_f64);
+    let u64_at = |path: &[&str]| doc.get_path(path).and_then(Json::as_u64);
+    let bool_at = |path: &[&str]| match doc.get_path(path) {
+        Some(Json::Bool(b)) => Some(*b),
+        _ => None,
+    };
+    let experiments = doc
+        .get("experiments")?
+        .as_arr()?
+        .iter()
+        .map(|e| {
+            Some(ExpEntry {
+                id: e.get("id")?.as_str()?.to_string(),
+                wall_ms: e.get("wall_ms")?.as_f64()?,
+                effort: effort(e),
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(Doc {
+        total_ms: f64_at(&["total_ms"])?,
+        experiments,
+        campaign: Campaign {
+            cells_per_sec: f64_at(&["campaign", "cold", "cells_per_sec"])?,
+            unique: u64_at(&["campaign", "cold", "unique"])?,
+            dedup_rate: f64_at(&["campaign", "dedup_rate"])?,
+            neighbor_hit_rate: f64_at(&["campaign", "neighbor_hit_rate"])?,
+            disk_hit_rate: f64_at(&["campaign", "disk_hit_rate"])?,
+            failures: u64_at(&["campaign", "cold", "failures"])?,
+            resume_fast_forwarded: u64_at(&["campaign", "resume", "resumed", "resumed"])?,
+        },
+        serve: Serve {
+            req_per_sec: f64_at(&["serve", "req_per_sec"])?,
+            requests: u64_at(&["serve", "requests"])?,
+            hot_hit_rate: f64_at(&["serve", "hot_hit_rate"])?,
+            evictions: u64_at(&["serve", "evictions"])?,
+            identical: bool_at(&["serve", "identical_bounds"])?,
+        },
+        load: Load {
+            throughput_rps: f64_at(&["load", "throughput_rps"])?,
+            completed: u64_at(&["load", "completed"])?,
+            p50_ms: f64_at(&["load", "p50_ms"])?,
+            p99_ms: f64_at(&["load", "p99_ms"])?,
+            shed: u64_at(&["load", "shed"])?,
+            retries: u64_at(&["load", "retries"])?,
+            identical: bool_at(&["load", "identical_bounds"])?,
         },
     })
 }
 
-/// Renders an optional millisecond figure.
-fn ms(v: Option<f64>) -> String {
-    v.map_or_else(|| "—".into(), |v| format!("{v:.2}"))
+fn pct(v: f64) -> String {
+    format!("{:.1}%", v * 100.0)
 }
 
-/// One side of the load comparison, or `—`s when the document predates
-/// schema 10 (the expected case right after the bump).
-fn load_cells(e: Option<&LoadEntry>) -> [String; 7] {
-    match e {
-        Some(e) => [
-            format!("{:.1}", e.throughput_rps),
-            opt(e.completed),
-            ms(e.p50_ms),
-            ms(e.p99_ms),
-            opt(e.shed),
-            opt(e.retries),
-            e.identical
-                .map_or_else(|| "—".into(), |b| if b { "yes" } else { "NO" }.into()),
-        ],
-        None => std::array::from_fn(|_| "—".into()),
-    }
+fn yes_no(b: bool) -> String {
+    if b { "yes" } else { "NO" }.to_string()
+}
+
+/// `"{before} → {after} {unit} (±N%); report-only, never a gate"`.
+fn trend(what: &str, before: f64, after: f64, unit: &str) -> String {
+    let delta = if before > 0.0 {
+        format!(" ({:+.0}%)", (after - before) / before * 100.0)
+    } else {
+        String::new()
+    };
+    format!("{what} {before:.1} → {after:.1} {unit}{delta}; report-only, never a gate")
 }
 
 fn load(path: &str) -> Result<Json, String> {
@@ -233,258 +173,189 @@ fn main() -> ExitCode {
         eprintln!("usage: perf_trend <baseline BENCH_results.json> <current BENCH_results.json>");
         return ExitCode::FAILURE;
     };
+    // Report-only: a missing, unreadable, foreign or malformed document
+    // is a note, not a failure.
     let (baseline, current) = match (load(baseline_path), load(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (b, c) => {
-            // Report-only: a missing or unreadable document is a note,
-            // not a failure.
-            for r in [b, c] {
-                if let Err(e) = r {
-                    eprintln!("perf_trend: {e}");
-                }
+            for e in [b.err(), c.err()].into_iter().flatten() {
+                eprintln!("perf_trend: {e}");
             }
             return ExitCode::SUCCESS;
         }
     };
+    let schema = |doc: &Json| doc.get("schema").and_then(Json::as_u64).unwrap_or(0);
+    if schema(&baseline) != schema(&current) {
+        println!(
+            "perf_trend: baseline is schema {}, current is schema {}; nothing to compare",
+            schema(&baseline),
+            schema(&current)
+        );
+        return ExitCode::SUCCESS;
+    }
+    let (Some(base), Some(cur)) = (parse(&baseline), parse(&current)) else {
+        eprintln!(
+            "perf_trend: a document lacks a schema-{} member; nothing to compare",
+            schema(&current)
+        );
+        return ExitCode::SUCCESS;
+    };
 
-    let base = walls(&baseline);
-    let cur = walls(&current);
+    let pairs: Vec<(&ExpEntry, &ExpEntry)> = cur
+        .experiments
+        .iter()
+        .filter_map(|e| Some((base.experiments.iter().find(|b| b.id == e.id)?, e)))
+        .collect();
     let mut t = Table::new(
         format!("Per-experiment wall_ms: {baseline_path} → {current_path}"),
         &["experiment", "baseline ms", "current ms", "delta", "trend"],
     );
-    let (mut base_total, mut cur_total) = (0.0, 0.0);
-    for e in &cur {
-        let Some(b) = base.iter().find(|b| b.id == e.id) else {
-            t.row([
-                e.id.clone(),
-                "—".into(),
-                format!("{:.1}", e.wall_ms),
-                "new".into(),
-                String::new(),
-            ]);
-            continue;
-        };
-        base_total += b.wall_ms;
-        cur_total += e.wall_ms;
+    for (b, e) in &pairs {
         let delta = e.wall_ms - b.wall_ms;
-        let trend = if b.wall_ms > 0.0 {
-            format!("{:+.0}%", delta / b.wall_ms * 100.0)
-        } else {
-            String::new()
-        };
         t.row([
             e.id.clone(),
             format!("{:.1}", b.wall_ms),
             format!("{:.1}", e.wall_ms),
             format!("{delta:+.1}"),
-            trend,
+            if b.wall_ms > 0.0 {
+                format!("{:+.0}%", delta / b.wall_ms * 100.0)
+            } else {
+                String::new()
+            },
         ]);
     }
-    for b in &base {
-        if !cur.iter().any(|e| e.id == b.id) {
-            t.row([
-                b.id.clone(),
-                format!("{:.1}", b.wall_ms),
-                "—".into(),
-                "removed".into(),
-                String::new(),
-            ]);
-        }
-    }
-    if base_total > 0.0 {
-        t.note(format!(
-            "totals (shared experiments): {base_total:.1} ms → {cur_total:.1} ms \
-             ({:+.0}%); report-only, never a gate",
-            (cur_total - base_total) / base_total * 100.0
-        ));
-    }
-    // Schema 9: the suite-level wall clock (everything run_all does,
-    // including the subprocess passes the per-experiment rows miss). A
-    // side that predates schema 9 renders `—` and gets no delta.
-    let total_ms = |doc: &Json| doc.get("total_ms").and_then(Json::as_f64);
-    let (base_suite, cur_suite) = (total_ms(&baseline), total_ms(&current));
-    if base_suite.is_some() || cur_suite.is_some() {
-        let show = |v: Option<f64>| v.map_or_else(|| "—".into(), |v| format!("{v:.1} ms"));
-        let delta = match (base_suite, cur_suite) {
-            (Some(b), Some(c)) if b > 0.0 => format!(" ({:+.0}%)", (c - b) / b * 100.0),
-            _ => String::new(),
+    let base_total: f64 = pairs.iter().map(|(b, _)| b.wall_ms).sum();
+    let cur_total: f64 = pairs.iter().map(|(_, e)| e.wall_ms).sum();
+    t.note(trend("experiments total", base_total, cur_total, "ms"));
+    t.note(trend("suite total_ms", base.total_ms, cur.total_ms, "ms"));
+    println!("{t}");
+
+    // Deterministic effort counters (immune to timer noise).
+    let mut t = Table::new(
+        "Deterministic effort: fixpoint evaluations vs naive sweep, sim skips, kernel words",
+        &[
+            "experiment",
+            "base evals",
+            "cur evals",
+            "cur sweep equiv",
+            "base skipped cyc",
+            "cur skipped cyc",
+            "base kern words",
+            "cur kern words",
+        ],
+    );
+    for (b, e) in &pairs {
+        let (Some(b), Some(c)) = (b.effort, e.effort) else {
+            continue; // subprocess experiment: nothing to report
         };
-        t.note(format!(
-            "suite total_ms (schema 9): {} → {}{delta}",
-            show(base_suite),
-            show(cur_suite),
-        ));
+        t.row([
+            e.id.clone(),
+            b.evaluated.to_string(),
+            c.evaluated.to_string(),
+            c.sweep_evals.to_string(),
+            b.skipped_cycles.to_string(),
+            c.skipped_cycles.to_string(),
+            b.kernel_words.to_string(),
+            c.kernel_words.to_string(),
+        ]);
     }
     println!("{t}");
 
-    // Schema 5: deterministic effort counters (immune to timer noise).
-    // Rendered whenever either side carries them; schema-4 sides show —.
-    if cur
-        .iter()
-        .any(|e| e.fixpoint.is_some() || e.skipped_cycles.is_some())
-        || base
-            .iter()
-            .any(|e| e.fixpoint.is_some() || e.skipped_cycles.is_some())
-    {
-        let mut t = Table::new(
-            "Deterministic effort (schema 5+): fixpoint evaluations vs naive sweep, \
-             sim skips, kernel words (schema 9)",
-            &[
-                "experiment",
-                "base evals",
-                "cur evals",
-                "cur sweep equiv",
-                "base skipped cyc",
-                "cur skipped cyc",
-                "base kern words",
-                "cur kern words",
-            ],
-        );
-        for e in &cur {
-            let b = base.iter().find(|b| b.id == e.id);
-            if e.fixpoint.is_none() && e.skipped_cycles.is_none() {
-                continue; // subprocess experiment: nothing to report
-            }
-            t.row([
-                e.id.clone(),
-                opt(b.and_then(|b| b.fixpoint.map(|f| f.0))),
-                opt(e.fixpoint.map(|f| f.0)),
-                opt(e.fixpoint.map(|f| f.1)),
-                opt(b.and_then(|b| b.skipped_cycles)),
-                opt(e.skipped_cycles),
-                opt(b.and_then(|b| b.kernel_words)),
-                opt(e.kernel_words),
-            ]);
-        }
-        println!("{t}");
+    let mut t = Table::new(
+        "Streaming campaign: cold-run throughput, reuse, supervision",
+        &[
+            "side",
+            "cells/sec",
+            "unique",
+            "dedup",
+            "neighbor hits",
+            "disk hits (warm)",
+            "failures",
+            "resume ffwd",
+        ],
+    );
+    for (side, c) in [("baseline", base.campaign), ("current", cur.campaign)] {
+        t.row([
+            side.to_string(),
+            format!("{:.0}", c.cells_per_sec),
+            c.unique.to_string(),
+            pct(c.dedup_rate),
+            pct(c.neighbor_hit_rate),
+            pct(c.disk_hit_rate),
+            c.failures.to_string(),
+            c.resume_fast_forwarded.to_string(),
+        ]);
     }
+    t.note(trend(
+        "throughput",
+        base.campaign.cells_per_sec,
+        cur.campaign.cells_per_sec,
+        "cells/sec",
+    ));
+    println!("{t}");
 
-    // Schema 6: the streaming campaign's throughput and reuse rates.
-    // Older documents on either side simply render as `—`; both sides
-    // missing the block (pre-schema-6 baselines) skips the table.
-    let (base_c, cur_c) = (campaign(&baseline), campaign(&current));
-    if base_c.is_some() || cur_c.is_some() {
-        let mut t = Table::new(
-            "Streaming campaign (schema 6+): cold-run throughput, reuse, supervision",
-            &[
-                "side",
-                "cells/sec",
-                "unique",
-                "dedup",
-                "neighbor hits",
-                "disk hits (warm)",
-                "failures",
-                "resume ffwd",
-            ],
-        );
-        for (side, e) in [("baseline", base_c.as_ref()), ("current", cur_c.as_ref())] {
-            let [cps, unique, dedup, neighbor, disk, failures, ffwd] = campaign_cells(e);
-            t.row([
-                side.to_string(),
-                cps,
-                unique,
-                dedup,
-                neighbor,
-                disk,
-                failures,
-                ffwd,
-            ]);
-        }
-        if let (Some(b), Some(c)) = (&base_c, &cur_c) {
-            if b.cells_per_sec > 0.0 {
-                t.note(format!(
-                    "throughput {:.0} → {:.0} cells/sec ({:+.0}%); report-only, never a gate",
-                    b.cells_per_sec,
-                    c.cells_per_sec,
-                    (c.cells_per_sec - b.cells_per_sec) / b.cells_per_sec * 100.0
-                ));
-            }
-        }
-        println!("{t}");
+    let mut t = Table::new(
+        "Analysis server: request throughput, hot-memo hit rate",
+        &[
+            "side",
+            "req/sec",
+            "requests",
+            "hot hit rate",
+            "evictions",
+            "identical bounds",
+        ],
+    );
+    for (side, s) in [("baseline", base.serve), ("current", cur.serve)] {
+        t.row([
+            side.to_string(),
+            format!("{:.1}", s.req_per_sec),
+            s.requests.to_string(),
+            pct(s.hot_hit_rate),
+            s.evictions.to_string(),
+            yes_no(s.identical),
+        ]);
     }
+    t.note(trend(
+        "throughput",
+        base.serve.req_per_sec,
+        cur.serve.req_per_sec,
+        "req/sec",
+    ));
+    println!("{t}");
 
-    // Schema 8: the serving pass. Same convention — either side missing
-    // the block renders `—`; both missing skips the table.
-    let (base_s, cur_s) = (serve(&baseline), serve(&current));
-    if base_s.is_some() || cur_s.is_some() {
-        let mut t = Table::new(
-            "Analysis server (schema 8): request throughput, hot-memo hit rate",
-            &[
-                "side",
-                "req/sec",
-                "requests",
-                "hot hit rate",
-                "evictions",
-                "identical bounds",
-            ],
-        );
-        for (side, e) in [("baseline", base_s.as_ref()), ("current", cur_s.as_ref())] {
-            let [rps, requests, hit_rate, evictions, identical] = serve_cells(e);
-            t.row([
-                side.to_string(),
-                rps,
-                requests,
-                hit_rate,
-                evictions,
-                identical,
-            ]);
-        }
-        if let (Some(b), Some(c)) = (&base_s, &cur_s) {
-            if b.req_per_sec > 0.0 {
-                t.note(format!(
-                    "throughput {:.1} → {:.1} req/sec ({:+.0}%); report-only, never a gate",
-                    b.req_per_sec,
-                    c.req_per_sec,
-                    (c.req_per_sec - b.req_per_sec) / b.req_per_sec * 100.0
-                ));
-            }
-        }
-        println!("{t}");
+    // Latency and shed figures are timing-shaped — report-only, like
+    // everything here.
+    let mut t = Table::new(
+        "Open-system load: throughput, latency percentiles, shed/retry",
+        &[
+            "side",
+            "req/sec",
+            "completed",
+            "p50 ms",
+            "p99 ms",
+            "shed",
+            "retries",
+            "identical bounds",
+        ],
+    );
+    for (side, l) in [("baseline", base.load), ("current", cur.load)] {
+        t.row([
+            side.to_string(),
+            format!("{:.1}", l.throughput_rps),
+            l.completed.to_string(),
+            format!("{:.2}", l.p50_ms),
+            format!("{:.2}", l.p99_ms),
+            l.shed.to_string(),
+            l.retries.to_string(),
+            yes_no(l.identical),
+        ]);
     }
-
-    // Schema 10: the open-system load pass. A schema-9 baseline renders
-    // `—` on its side; both sides missing skips the table. Latency and
-    // shed figures are timing-shaped — report-only, like everything here.
-    let (base_l, cur_l) = (load_block(&baseline), load_block(&current));
-    if base_l.is_some() || cur_l.is_some() {
-        let mut t = Table::new(
-            "Open-system load (schema 10): throughput, latency percentiles, shed/retry",
-            &[
-                "side",
-                "req/sec",
-                "completed",
-                "p50 ms",
-                "p99 ms",
-                "shed",
-                "retries",
-                "identical bounds",
-            ],
-        );
-        for (side, e) in [("baseline", base_l.as_ref()), ("current", cur_l.as_ref())] {
-            let [rps, completed, p50, p99, shed, retries, identical] = load_cells(e);
-            t.row([
-                side.to_string(),
-                rps,
-                completed,
-                p50,
-                p99,
-                shed,
-                retries,
-                identical,
-            ]);
-        }
-        if let (Some(b), Some(c)) = (&base_l, &cur_l) {
-            if b.throughput_rps > 0.0 {
-                t.note(format!(
-                    "throughput {:.1} → {:.1} req/sec ({:+.0}%); report-only, never a gate",
-                    b.throughput_rps,
-                    c.throughput_rps,
-                    (c.throughput_rps - b.throughput_rps) / b.throughput_rps * 100.0
-                ));
-            }
-        }
-        println!("{t}");
-    }
+    t.note(trend(
+        "throughput",
+        base.load.throughput_rps,
+        cur.load.throughput_rps,
+        "req/sec",
+    ));
+    println!("{t}");
     ExitCode::SUCCESS
 }

@@ -14,8 +14,8 @@ use std::time::Instant;
 use wcet_bench::experiments::{ExperimentRun, IN_PROCESS};
 use wcet_bench::json::Json;
 use wcet_bench::scenario::{
-    campaign_json, matrix_json, parse_matrix, run_campaign_with, run_matrix, CampaignOptions,
-    CampaignRun, MatrixOptions,
+    campaign_json, matrix_json, parse_matrix, run_campaign, run_campaign_with, CampaignOptions,
+    CampaignRun,
 };
 use wcet_bench::{comparison_workload, l2_bound_machine, l2_bound_victim, machine};
 use wcet_bench::{fixpoint_json, skip_json};
@@ -135,25 +135,28 @@ fn scenario_sweep() -> Json {
     let matrix =
         parse_matrix(include_str!("../../../../scenarios/example.scn")).expect("example parses");
     let start = Instant::now();
-    let run = run_matrix(
+    let run = run_campaign(
         &matrix,
-        &MatrixOptions {
-            validate: true,
-            ..MatrixOptions::default()
+        &CampaignOptions {
+            threads: 1,
+            keep_cells: true,
+            sample_one_in: 1,
+            ..CampaignOptions::default()
         },
     );
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (validated, sound) = run.validation_counts();
     println!(
-        "scenario sweep `{}`: {} cells ({} duplicates removed), {sound}/{validated} \
+        "scenario sweep `{}`: {} cells ({} duplicates removed), {}/{} \
          validated cells sound, {:.1} ms",
         run.matrix,
         run.cells.len(),
         run.duplicates,
+        run.sound,
+        run.validated,
         wall_ms,
     );
     assert!(
-        run.soundness_violations().is_empty(),
+        run.violations.is_empty(),
         "example matrix produced unsound cells"
     );
     let mut doc = match matrix_json(&run) {

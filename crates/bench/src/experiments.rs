@@ -35,8 +35,7 @@ use wcet_sched::{lifetime_fixpoint, Task, TaskId, TaskSet};
 use wcet_sim::config::{CoreKind, MachineConfig};
 use wcet_sim::machine::SkipStats;
 
-use crate::scenario::run::{CellOutcome, MatrixOptions, MatrixRun};
-use crate::scenario::{parse_matrix, run_matrix};
+use crate::scenario::{parse_matrix, run_campaign, CampaignOptions, CellOutcome};
 use crate::{bully, l2_bound_machine, l2_bound_victim, machine, suite};
 
 /// One machine-readable measurement: a task analysed under a mode within
@@ -241,16 +240,12 @@ fn e02_victim(cell: &CellOutcome) -> (u64, String, String) {
 #[must_use]
 pub fn exp02() -> ExperimentRun {
     let ctx = Arc::new(SolveContext::new());
-    let opts = MatrixOptions {
-        validate: false,
-        ctx: Some(Arc::clone(&ctx)),
-        ..MatrixOptions::default()
-    };
+    let opts = materialized(&ctx);
     let mut rows = Vec::new();
 
     // E02a: 4-way shared L2, k = 0..=7 co-runners.
     let spec_a = e02_spec("E02a", "64x4x32@4", &[0, 1, 2, 3, 4, 5, 6, 7]);
-    let run_a = run_matrix(&parse_matrix(&spec_a).expect("spec parses"), &opts);
+    let run_a = run_campaign(&parse_matrix(&spec_a).expect("spec parses"), &opts);
     let mut t = Table::new(
         "E02a — victim WCET vs co-runner count, 4-way shared L2 (64 sets)",
         &["co-runners", "WCET", "vs alone", "L2 (AH,AM,PS,NC)"],
@@ -274,7 +269,7 @@ pub fn exp02() -> ExperimentRun {
     // capacity.
     let ks_dm = [0usize, 1, 2, 4, 7];
     let spec_b = e02_spec("E02b", "256x1x32@4", &ks_dm);
-    let run_b = run_matrix(&parse_matrix(&spec_b).expect("spec parses"), &opts);
+    let run_b = run_campaign(&parse_matrix(&spec_b).expect("spec parses"), &opts);
     let mut t2 = Table::new(
         "E02b — same, direct-mapped shared L2 (256 sets × 1 way)",
         &["co-runners", "WCET", "vs alone"],
@@ -298,23 +293,23 @@ pub fn exp02() -> ExperimentRun {
         id: "exp02_shared_l2",
         title: "joint analysis of a shared L2",
         rows,
-        solver: matrix_solver(&run_b),
+        solver: run_b.solver,
         fixpoint,
         sim_skip: SkipStats::default(),
     }
 }
 
-/// The solver bill of a sequence of matrix runs that shared one
-/// `SolveContext`: every counter in [`MatrixRun::solver`] is the shared
-/// context's cumulative lifetime view, so the *last* run already
-/// carries the whole bill — pass that one. (Runs with private contexts
-/// must be absorbed individually instead; summing shared-context runs
-/// would double-count.)
-fn matrix_solver(last: &MatrixRun) -> SolverStats {
-    SolverStats {
-        warm_hits: last.solver.warm_hits,
-        cold_solves: last.solver.cold_solves,
-        totals: last.solver.totals,
+/// The options of an experiment's matrix runs: one worker, every cell
+/// kept in expansion order, all runs sharing `ctx`. Each run's
+/// [`crate::scenario::CampaignRun::solver`] is then the shared context's
+/// cumulative view, so the *last* run carries the whole solver bill
+/// (summing the runs would double-count).
+fn materialized(ctx: &Arc<SolveContext>) -> CampaignOptions {
+    CampaignOptions {
+        threads: 1,
+        keep_cells: true,
+        ctx: Some(Arc::clone(ctx)),
+        ..CampaignOptions::default()
     }
 }
 
@@ -540,11 +535,7 @@ pub fn exp05() -> ExperimentRun {
     let (_, task_eff) =
         policy_partition(&base_l2, AllocationPolicy::TaskBased, n_cores, n_tasks).expect("fits");
     let ctx = Arc::new(SolveContext::new());
-    let opts = MatrixOptions {
-        validate: false,
-        ctx: Some(Arc::clone(&ctx)),
-        ..MatrixOptions::default()
-    };
+    let opts = materialized(&ctx);
     let mut rows = Vec::new();
     let preamble = "cores = 2\nl1i = 8x1x16@1\nl1d = 2x1x32@1\n";
 
@@ -557,7 +548,7 @@ pub fn exp05() -> ExperimentRun {
         task_eff.spec(),
         e05_tasks("switchy:32x40x40"),
     );
-    let run_a = run_matrix(&parse_matrix(&spec_a).expect("spec parses"), &opts);
+    let run_a = run_campaign(&parse_matrix(&spec_a).expect("spec parses"), &opts);
     let policy_total = run_a.cells.len() / 2;
     let mut t1 = Table::new(
         "E05a — allocation policy (8 tasks on 2 cores, 8-way L2): per-task WCET",
@@ -597,7 +588,7 @@ pub fn exp05() -> ExperimentRun {
         core_eff.spec(),
         e05_tasks("twophase:512x8"),
     );
-    let run_b = run_matrix(&parse_matrix(&spec_b).expect("spec parses"), &opts);
+    let run_b = run_campaign(&parse_matrix(&spec_b).expect("spec parses"), &opts);
     let total_tasks = run_b.cells.len() / 3;
     let mut t2 = Table::new(
         "E05b — locking mode within a 4-way core partition: per-task WCET",
@@ -651,7 +642,7 @@ pub fn exp05() -> ExperimentRun {
         id: "exp05_partition_lock",
         title: "locking × partitioning design space",
         rows,
-        solver: matrix_solver(&run_b),
+        solver: run_b.solver,
         fixpoint,
         sim_skip: SkipStats::default(),
     }
@@ -704,9 +695,9 @@ pub fn exp08() -> ExperimentRun {
          arbiter = [{}]\nmode = static-ctrl\ntasks = spath:6x32\n",
         arbiter_axis.join(", ")
     );
-    let run = run_matrix(
+    let run = run_campaign(
         &parse_matrix(&spec).expect("spec parses"),
-        &MatrixOptions::default(),
+        &materialized(&Arc::new(SolveContext::new())),
     );
     let mut t1 = Table::new(
         "E08a — single-path task on a 4-core TDMA bus: bound vs slot length",
@@ -845,7 +836,7 @@ pub fn exp08() -> ExperimentRun {
         id: "exp08_tdma",
         title: "TDMA bus scheduling",
         rows,
-        solver: matrix_solver(&run),
+        solver: run.solver,
         fixpoint,
         sim_skip: skip,
     }

@@ -243,7 +243,10 @@ pub fn scenario_pool(n: usize) -> Vec<String> {
 /// What one load run measured, in the shape the `BENCH_results.json`
 /// schema-10 `load` block carries. Counts are exact; latency
 /// percentiles come from a [`Log2Histogram`] and are bucket upper
-/// bounds.
+/// bounds. Each latency runs from the request's *scheduled* send time
+/// (its Poisson arrival), not from when its connection got round to
+/// sending it, so queueing behind a slow predecessor is counted rather
+/// than omitted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadStats {
     /// Requests planned (the full seeded sequence).
@@ -267,7 +270,8 @@ pub struct LoadStats {
     pub wall_ms: f64,
     /// Completed requests per second of wall clock.
     pub throughput_rps: f64,
-    /// Median latency (histogram bucket upper bound), ms.
+    /// Median latency from scheduled send to response (histogram bucket
+    /// upper bound), ms.
     pub p50_ms: f64,
     /// 95th-percentile latency, ms.
     pub p95_ms: f64,

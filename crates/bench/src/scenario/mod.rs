@@ -3,14 +3,16 @@
 //!
 //! * [`spec`] — the `key = value` matrix format, [`ScenarioMatrix`]
 //!   parsing, and cross-product expansion into concrete [`Scenario`]s;
-//! * [`run`] — fingerprint deduplication, batch analysis through
-//!   [`wcet_core::AnalysisEngine`] (one shared warm-start context across
-//!   every machine of the batch) and the statically-controlled path, and
-//!   cycle-level cross-validation on `wcet-sim`;
-//! * [`stream`] — the streaming campaign runner for 10⁵–10⁶-cell
-//!   matrices: lazy Gray-code expansion, work-stealing workers,
-//!   neighbour-incremental analysis, and deterministic seeded-sample
-//!   validation;
+//! * [`run`] — the per-cell steps: building a cell, its deduplication
+//!   fingerprint, analysis through [`wcet_core::AnalysisEngine`] (one
+//!   shared warm-start context across every machine of the run) or the
+//!   statically-controlled path, and cycle-level cross-validation on
+//!   `wcet-sim`;
+//! * [`stream`] — the one scenario runner, from a single served cell to
+//!   10⁵–10⁶-cell campaigns: lazy Gray-code expansion, work-stealing
+//!   workers, neighbour-incremental analysis, per-cell supervision,
+//!   deterministic seeded-sample validation, and collected
+//!   (materialized) runs in expansion order;
 //! * [`cache`] — the persistent (schema-versioned, checksummed,
 //!   corruption-tolerant, checkpointed) fingerprint → bounds memo that
 //!   lets repeated campaigns skip already-solved cells and interrupted
@@ -34,10 +36,6 @@ pub mod stream;
 pub use cache::{CachedRow, DiskCache};
 pub use fault::FaultPlan;
 pub use report::{campaign_json, campaign_markdown, matrix_json, matrix_markdown};
-pub use run::{
-    run_matrix, CellFailure, CellOutcome, FailureKind, MatrixOptions, MatrixRun, TaskRow,
-};
+pub use run::{CellFailure, CellOutcome, FailureKind, TaskRow};
 pub use spec::{parse_matrix, L2Layout, ModeSpec, Scenario, ScenarioMatrix, SpecError};
-pub use stream::{
-    run_campaign, run_campaign_with, run_supervised, CampaignOptions, CampaignRun, CellBudget,
-};
+pub use stream::{run_campaign, run_campaign_with, CampaignOptions, CampaignRun, CellBudget};

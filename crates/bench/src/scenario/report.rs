@@ -1,12 +1,13 @@
-//! Structured reporting of a matrix run: a machine-readable JSON
-//! document (`wcet scenarios` schema 1) and a rendered Markdown table —
-//! plus the compact summary forms of a streaming [`CampaignRun`] (whose
-//! cells are not retained, so only aggregates are reported).
+//! Structured reporting of a run: for a materialized run (cells kept),
+//! a machine-readable JSON document (`wcet scenarios` schema 2) and a
+//! rendered Markdown table of every cell — plus the compact summary
+//! forms of a streaming campaign, whose cells are not retained, so only
+//! aggregates are reported.
 
 use wcet_core::report::Table;
 use wcet_core::validate::Observation;
 
-use super::run::{CellOutcome, MatrixRun};
+use super::run::CellOutcome;
 use super::stream::CampaignRun;
 use crate::json::Json;
 
@@ -97,10 +98,10 @@ fn cell_json(cell: &CellOutcome) -> Json {
     ])
 }
 
-/// Serializes a whole run as the `wcet scenarios` schema-1 JSON document.
+/// Serializes a materialized run ([`super::CampaignOptions::keep_cells`])
+/// as the `wcet scenarios` JSON document.
 #[must_use]
-pub fn matrix_json(run: &MatrixRun) -> Json {
-    let (validated, sound) = run.validation_counts();
+pub fn matrix_json(run: &CampaignRun) -> Json {
     Json::obj([
         ("schema", Json::from(SCHEMA)),
         ("suite", Json::str("wcet scenarios")),
@@ -111,8 +112,8 @@ pub fn matrix_json(run: &MatrixRun) -> Json {
         ),
         ("cells_total", Json::from(run.cells.len())),
         ("duplicates", Json::from(run.duplicates)),
-        ("validated_cells", Json::from(validated)),
-        ("sound_cells", Json::from(sound)),
+        ("validated_cells", Json::from(run.validated)),
+        ("sound_cells", Json::from(run.sound)),
         (
             "solver",
             Json::obj([
@@ -132,18 +133,17 @@ pub fn matrix_json(run: &MatrixRun) -> Json {
     ])
 }
 
-/// Renders a run as a Markdown document: a summary key/value table plus
-/// one row per (cell, task).
+/// Renders a materialized run as a Markdown document: a summary
+/// key/value table plus one row per (cell, task).
 #[must_use]
-pub fn matrix_markdown(run: &MatrixRun) -> String {
-    let (validated, sound) = run.validation_counts();
+pub fn matrix_markdown(run: &CampaignRun) -> String {
     let summary = Table::kv(
         format!("Scenario matrix `{}` — summary", run.matrix),
         [
             ("cells", run.cells.len().to_string()),
             ("duplicates removed", run.duplicates.to_string()),
-            ("validated", validated.to_string()),
-            ("sound", format!("{sound}/{validated}")),
+            ("validated", run.validated.to_string()),
+            ("sound", format!("{}/{}", run.sound, run.validated)),
             (
                 "solver warm/cold",
                 format!("{}/{}", run.solver.warm_hits, run.solver.cold_solves),
@@ -223,7 +223,11 @@ pub fn matrix_markdown(run: &MatrixRun) -> String {
             ]);
         }
     }
-    for violation in run.soundness_violations() {
+    for violation in run
+        .cells
+        .iter()
+        .filter(|c| run.violations.contains(&c.scenario.name))
+    {
         t.note(format!(
             "SOUNDNESS VIOLATION: {} ({})",
             violation.scenario.name,
@@ -335,7 +339,6 @@ pub fn campaign_markdown(run: &CampaignRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::run::{run_matrix, MatrixOptions};
     use crate::scenario::spec::parse_matrix;
     use crate::scenario::stream::{run_campaign, CampaignOptions};
 
@@ -343,11 +346,13 @@ mod tests {
     fn json_and_markdown_render_a_small_run() {
         let m = parse_matrix("name = tiny\nmode = [isolated, solo]\ntasks = fir:2x4\n")
             .expect("parses");
-        let run = run_matrix(
+        let run = run_campaign(
             &m,
-            &MatrixOptions {
-                validate: true,
-                ..MatrixOptions::default()
+            &CampaignOptions {
+                threads: 1,
+                keep_cells: true,
+                sample_one_in: 1,
+                ..CampaignOptions::default()
             },
         );
         assert_eq!(run.cells.len(), 2);

@@ -1,65 +1,33 @@
-//! The scenario-matrix runner: builds each cell's machine and task set,
-//! deduplicates cells by semantic fingerprint, analyses every task
-//! through [`AnalysisEngine`] (engines share one warm-start
-//! [`SolveContext`] across the whole batch, so objective-only neighbour
-//! cells skip simplex phase 1) or the [`wcet_core::static_ctrl`] path,
-//! and cross-validates each concrete cell on the `wcet-sim` cycle-level
-//! machine via [`wcet_core::validate::observe_all`].
+//! The per-cell building blocks of the scenario runner
+//! ([`super::stream`]): building each cell's machine and task set, its
+//! semantic deduplication fingerprint, analysis of every task through
+//! [`AnalysisEngine`] (engines share one warm-start [`SolveContext`], so
+//! objective-only neighbour cells skip simplex phase 1) or the
+//! [`wcet_core::static_ctrl`] path, and cross-validation of a concrete
+//! cell on the `wcet-sim` cycle-level machine via
+//! [`wcet_core::validate::observe_all`].
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use wcet_cache::bypass::single_usage_lines;
 use wcet_cache::lock::select_static;
 use wcet_cache::partition::PartitionPlan;
-use wcet_core::engine::{AnalysisEngine, MemoDomain, SolverStats, TaskArtifacts};
-use wcet_core::fingerprint::{debug_fingerprint, program_fingerprint};
+use wcet_core::engine::{AnalysisEngine, TaskArtifacts};
+use wcet_core::fingerprint::debug_fingerprint;
 use wcet_core::mode::{Footprint, Isolated, JointRefs, Solo};
 use wcet_core::static_ctrl::{
     wcet_dynamic_lock_ctx, wcet_static_lock_ctx, wcet_unlocked_ctx, StaticParams,
 };
 use wcet_core::validate::{observe_all, Observation};
 use wcet_core::{IpetOptions, SolveContext, WcetReport};
-use wcet_ir::fixpoint::{FixpointSink, FixpointStats};
+use wcet_ir::fixpoint::FixpointSink;
 use wcet_ir::synth::{parse_kernel, Placement};
 use wcet_ir::Program;
 use wcet_sched::TaskSet;
 use wcet_sim::config::{L2Config, MachineConfig};
 use wcet_sim::machine::SkipStats;
 
-use super::cache::DiskCache;
-use super::spec::{AnalyzeSpec, L2Layout, ModeSpec, Scenario, ScenarioMatrix};
-
-/// Options of one matrix run.
-#[derive(Debug, Default)]
-pub struct MatrixOptions {
-    /// Replay every concrete cell on the cycle-level simulator and record
-    /// per-task [`Observation`]s.
-    pub validate: bool,
-    /// An external warm-start context: pass one context to several runs
-    /// (as the ported experiment drivers do) to share cached bases across
-    /// matrices. `None` creates a fresh context for this run.
-    ///
-    /// Note the context's warm/cold counters are cumulative across
-    /// everything it served, so [`MatrixRun::solver`] reflects the
-    /// context's lifetime when shared.
-    pub ctx: Option<Arc<SolveContext>>,
-    /// An external memo domain: a long-lived caller (the analysis
-    /// service) passes its — possibly budgeted, see
-    /// [`MemoDomain::with_budget`] — domain so hierarchy fixpoints, cost
-    /// tables and bounds stay hot across runs. Results are unchanged
-    /// (every memo key is deterministic and machine-independent); like
-    /// the shared context, [`MatrixRun::fixpoint`] then reflects the
-    /// domain's lifetime. `None` creates a fresh domain for this run.
-    pub memo: Option<Arc<MemoDomain>>,
-    /// A durable disk memo (the CRC-checkpointed campaign cache): cells
-    /// whose fingerprint is already durable are answered straight from
-    /// disk — counted in [`MatrixRun::disk_hits`], rows carry no engine
-    /// report, validation is skipped — instead of being re-analysed.
-    /// `None` disables the disk path. Nothing is written back; durable
-    /// appends stay the caller's job (the service flushes on shutdown).
-    pub disk: Option<Arc<DiskCache>>,
-}
+use super::spec::{AnalyzeSpec, L2Layout, ModeSpec, Scenario};
 
 /// A concrete, buildable cell: machine + programs + placement.
 #[derive(Debug, Clone)]
@@ -107,14 +75,16 @@ pub struct CellValidation {
     pub all_sound: bool,
 }
 
-/// Why a supervised cell was abandoned by the campaign runner.
+/// Why a supervised cell was abandoned by the runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// The cell's analysis (or validation) panicked.
     Panic,
-    /// The cell exhausted a resource budget (pivots, fixpoint
-    /// evaluations, or per-cell wall clock).
+    /// The cell exhausted a counted resource budget (simplex pivots or
+    /// fixpoint evaluations).
     Budget,
+    /// The cell exhausted its wall-clock budget.
+    Deadline,
 }
 
 impl std::fmt::Display for FailureKind {
@@ -122,6 +92,7 @@ impl std::fmt::Display for FailureKind {
         f.write_str(match self {
             FailureKind::Panic => "panic",
             FailureKind::Budget => "budget",
+            FailureKind::Deadline => "deadline",
         })
     }
 }
@@ -156,9 +127,7 @@ pub struct CellOutcome {
     pub validation_skipped: Option<String>,
     /// Build failure (unplaceable tasks, inconsistent machine…).
     pub error: Option<String>,
-    /// Supervision failure (panic or budget exhaustion) — only the
-    /// streaming campaign runner sets this; the materialized path runs
-    /// unsupervised.
+    /// Supervision failure (panic, or an exhausted budget or deadline).
     pub failure: Option<CellFailure>,
 }
 
@@ -169,60 +138,6 @@ impl CellOutcome {
         self.error.is_none()
             && self.failure.is_none()
             && self.rows.iter().all(|r| r.outcome.is_ok())
-    }
-}
-
-/// The outcome of a whole matrix run.
-#[derive(Debug)]
-pub struct MatrixRun {
-    /// Matrix name.
-    pub matrix: String,
-    /// Unique cells, in expansion order.
-    pub cells: Vec<CellOutcome>,
-    /// Cells dropped because an earlier cell had the same fingerprint.
-    pub duplicates: usize,
-    /// Cells answered from the durable disk memo ([`MatrixOptions::disk`])
-    /// without analysis. Zero when no disk memo was passed.
-    pub disk_hits: usize,
-    /// Aggregated solver effort: warm/cold counters and per-solve
-    /// totals (pivots, certified fast solves, fallbacks…) from the
-    /// (possibly shared) context — engine-family and
-    /// statically-controlled cells alike, since every solve routes
-    /// through the one context. When the caller shared a context across
-    /// several runs, this is the context's cumulative lifetime view.
-    pub solver: SolverStats,
-    /// Worklist-fixpoint effort summed over every cache analysis the run
-    /// computed (engine-family and statically-controlled cells alike).
-    pub fixpoint: FixpointStats,
-    /// Event-skipping effort summed over every validation replay.
-    pub sim_skip: SkipStats,
-}
-
-impl MatrixRun {
-    /// Counts `(validated, sound)` cells.
-    #[must_use]
-    pub fn validation_counts(&self) -> (usize, usize) {
-        let validated = self.cells.iter().filter(|c| c.validation.is_some()).count();
-        let sound = self
-            .cells
-            .iter()
-            .filter(|c| c.validation.as_ref().is_some_and(|v| v.all_sound))
-            .count();
-        (validated, sound)
-    }
-
-    /// Cells that were validated, were expected to be sound (every mode
-    /// but multi-task `solo`), and broke their bound anyway — a soundness
-    /// bug if non-empty.
-    #[must_use]
-    pub fn soundness_violations(&self) -> Vec<&CellOutcome> {
-        self.cells
-            .iter()
-            .filter(|c| {
-                c.validation.as_ref().is_some_and(|v| !v.all_sound)
-                    && c.scenario.mode.expected_sound(c.scenario.tasks.len())
-            })
-            .collect()
     }
 }
 
@@ -239,7 +154,7 @@ pub fn build_scenario(scn: &Scenario) -> Result<BuiltScenario, String> {
 
 /// Parses a cell's kernel specs into placed programs (task *i* at
 /// address slot *i*). Factored out of [`build_scenario`] so the
-/// streaming producer can cache programs per task-set axis value.
+/// runner's producer can cache programs per task-set axis value.
 pub(crate) fn parse_programs(tasks: &[String]) -> Result<Vec<Program>, String> {
     tasks
         .iter()
@@ -340,22 +255,11 @@ pub(crate) fn build_with_programs(
     })
 }
 
-/// The deduplication fingerprint: machine description, placed task
-/// contents, and mode label (the label carries the mode parameters).
-fn cell_fingerprint(scn: &Scenario, built: Option<&BuiltScenario>) -> (u64, u64) {
-    match built {
-        Some(b) => {
-            let task_fps: Vec<(u64, u64)> = b.programs.iter().map(program_fingerprint).collect();
-            fingerprint_built(scn, b, &task_fps)
-        }
-        None => fingerprint_unbuildable(scn),
-    }
-}
-
-/// The buildable-cell half of [`cell_fingerprint`], with the per-task
-/// content fingerprints supplied by the caller (the streaming producer
-/// caches them per task-set axis value; a slice renders identically to
-/// the `Vec` the materialized path hashes).
+/// The deduplication fingerprint of a buildable cell: machine
+/// description, placement, mode label (the label carries the mode
+/// parameters), analysed-task selection, per-task content fingerprints
+/// (supplied by the caller, which caches them per task-set axis value)
+/// and the validation budget.
 pub(crate) fn fingerprint_built(
     scn: &Scenario,
     built: &BuiltScenario,
@@ -389,132 +293,6 @@ pub(crate) fn fingerprint_unbuildable(scn: &Scenario) -> (u64, u64) {
     ))
 }
 
-/// Runs one expanded matrix: dedup → analysis → (optional) validation.
-#[must_use]
-pub fn run_matrix(matrix: &ScenarioMatrix, opts: &MatrixOptions) -> MatrixRun {
-    let ctx = opts
-        .ctx
-        .clone()
-        .unwrap_or_else(|| Arc::new(SolveContext::new()));
-    let ipet = IpetOptions::default();
-    // One memo domain across every engine: keys are machine-independent,
-    // so arbiter/timing sweep points share fixpoints and cost tables.
-    let memo = opts
-        .memo
-        .clone()
-        .unwrap_or_else(|| Arc::new(MemoDomain::new()));
-    let mut engines: HashMap<(u64, u64), Arc<AnalysisEngine>> = HashMap::new();
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
-    let mut cells = Vec::new();
-    let mut duplicates = 0usize;
-    let mut disk_hits = 0usize;
-    let fix = FixpointSink::new();
-    let mut sim_skip = SkipStats::default();
-
-    for scn in matrix.expand() {
-        let built = build_scenario(&scn);
-        let fingerprint = cell_fingerprint(&scn, built.as_ref().ok());
-        if !seen.insert(fingerprint) {
-            duplicates += 1;
-            continue;
-        }
-        // Durable rows answer the cell outright (only fully-bounded cells
-        // are ever appended, so a hit is complete by construction).
-        if let Some(rows) = opts.disk.as_ref().and_then(|d| d.lookup(fingerprint)) {
-            disk_hits += 1;
-            cells.push(CellOutcome {
-                fingerprint,
-                rows: rows
-                    .iter()
-                    .map(|r| TaskRow {
-                        task: r.task.clone(),
-                        core: r.core,
-                        thread: r.thread,
-                        mode: r.mode.clone(),
-                        outcome: Ok(TaskBound {
-                            wcet: r.wcet,
-                            report: None,
-                        }),
-                    })
-                    .collect(),
-                validation: None,
-                validation_skipped: opts
-                    .validate
-                    .then(|| "rows served from the disk memo".to_string()),
-                error: None,
-                failure: None,
-                scenario: scn,
-            });
-            continue;
-        }
-        let built = match built {
-            Ok(b) => b,
-            Err(e) => {
-                cells.push(CellOutcome {
-                    scenario: scn,
-                    fingerprint,
-                    rows: Vec::new(),
-                    validation: None,
-                    validation_skipped: None,
-                    error: Some(e),
-                    failure: None,
-                });
-                continue;
-            }
-        };
-
-        let rows = if scn.mode.is_static_family() {
-            analyze_static(&scn, &built, &ipet, &ctx, &fix)
-        } else {
-            let machine_fp = debug_fingerprint(&built.machine);
-            let engine = engines.entry(machine_fp).or_insert_with(|| {
-                Arc::new(
-                    AnalysisEngine::new(built.machine.clone())
-                        .with_solve_context(Arc::clone(&ctx))
-                        .with_memo(Arc::clone(&memo)),
-                )
-            });
-            analyze_engine(&scn, &built, engine)
-        };
-
-        let mut outcome = CellOutcome {
-            scenario: scn,
-            fingerprint,
-            rows,
-            validation: None,
-            validation_skipped: None,
-            error: None,
-            failure: None,
-        };
-        if opts.validate {
-            validate_cell(&built, &mut outcome, &mut sim_skip);
-        }
-        cells.push(outcome);
-    }
-
-    // Engines only route solves; the shared context saw every one of
-    // them (static-ctrl cells included), so its totals are the run's
-    // complete solver bill. Fixpoint effort likewise lives in the one
-    // shared memo domain — read it once, never per engine.
-    let mut fixpoint = fix.total();
-    fixpoint.absorb(&memo.fixpoint_stats());
-    drop(engines);
-    let ctx_stats = ctx.stats();
-    MatrixRun {
-        matrix: matrix.name.clone(),
-        cells,
-        duplicates,
-        disk_hits,
-        solver: SolverStats {
-            warm_hits: ctx_stats.warm_hits,
-            cold_solves: ctx_stats.cold_solves,
-            totals: ctx.totals(),
-        },
-        fixpoint,
-        sim_skip,
-    }
-}
-
 /// The task indices a cell analyses: all of them, or just the victim.
 pub(crate) fn analyzed_range(scn: &Scenario, built: &BuiltScenario) -> std::ops::Range<usize> {
     match scn.analyze {
@@ -538,12 +316,7 @@ pub(crate) struct CellArtifacts {
 }
 
 /// Engine-family analysis (`solo` / `isolated` / `joint`) of the cell's
-/// analysed tasks.
-fn analyze_engine(scn: &Scenario, built: &BuiltScenario, engine: &AnalysisEngine) -> Vec<TaskRow> {
-    analyze_engine_incremental(scn, built, engine, None).0
-}
-
-/// [`analyze_engine`], threading neighbour artifacts: with
+/// analysed tasks, threading neighbour artifacts: with
 /// `prior: Some(...)` from a cell whose delta provably left every
 /// hierarchy input unchanged (only `arbiter` / `transfer` /
 /// `mem_latency` / `cycle_limit` moved), each task reuses its
@@ -651,7 +424,7 @@ pub(crate) fn analyze_static(
                         wcet_dynamic_lock_ctx(p, &params, ways, ipet, Some(ctx), Some(fix))
                             .map(|(w, _)| w)
                     }
-                    _ => unreachable!("engine modes route through analyze_engine"),
+                    _ => unreachable!("engine modes route through analyze_engine_incremental"),
                 })
                 .map_err(|e| e.to_string());
             TaskRow {
@@ -725,8 +498,22 @@ pub(crate) fn validate_cell(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scenario::spec::parse_matrix;
+    use crate::scenario::spec::{parse_matrix, ScenarioMatrix};
+    use crate::scenario::stream::{run_campaign, CampaignOptions, CampaignRun};
+
+    /// A materialized run: one worker, every cell kept in expansion
+    /// order, each one validated when asked.
+    fn collect(m: &ScenarioMatrix, validate: bool) -> CampaignRun {
+        run_campaign(
+            m,
+            &CampaignOptions {
+                threads: 1,
+                keep_cells: true,
+                sample_one_in: u64::from(validate),
+                ..CampaignOptions::default()
+            },
+        )
+    }
 
     #[test]
     fn duplicate_cells_are_dropped_by_fingerprint() {
@@ -737,7 +524,7 @@ mod tests {
         )
         .expect("parses");
         assert_eq!(m.num_cells(), 2);
-        let run = run_matrix(&m, &MatrixOptions::default());
+        let run = collect(&m, false);
         assert_eq!(run.cells.len(), 1);
         assert_eq!(run.duplicates, 1);
     }
@@ -746,13 +533,7 @@ mod tests {
     fn unplaceable_cells_fail_independently() {
         let m = parse_matrix("name = tight\ncores = 1\ntasks = [\"fir:2x4 crc:16\", fir:2x4]\n")
             .expect("parses");
-        let run = run_matrix(
-            &m,
-            &MatrixOptions {
-                validate: true,
-                ..MatrixOptions::default()
-            },
-        );
+        let run = collect(&m, true);
         assert_eq!(run.cells.len(), 2);
         assert!(run.cells[0]
             .error
@@ -775,13 +556,7 @@ mod tests {
         let m =
             parse_matrix("name = smt\ncores = 2\nsmt = 2\ntasks = \"fir:2x4 crc:16 bsort:4\"\n")
                 .expect("parses");
-        let run = run_matrix(
-            &m,
-            &MatrixOptions {
-                validate: true,
-                ..MatrixOptions::default()
-            },
-        );
+        let run = collect(&m, true);
         let cell = &run.cells[0];
         assert!(cell.error.is_none(), "{:?}", cell.error);
         let placements: Vec<(usize, usize)> =
@@ -798,13 +573,7 @@ mod tests {
              tasks = \"fir:2x4 crc:16\"\n",
         )
         .expect("parses");
-        let run = run_matrix(
-            &m,
-            &MatrixOptions {
-                validate: true,
-                ..MatrixOptions::default()
-            },
-        );
+        let run = collect(&m, true);
         let cell = &run.cells[0];
         assert_eq!(cell.rows.len(), 1, "victim mode bounds one task");
         assert_eq!(cell.rows[0].task, "fir2x4");
@@ -815,7 +584,7 @@ mod tests {
         // analyze=victim changes what is *bounded*, never the bound.
         let m_all = parse_matrix("name = v\ncores = 2\nmode = joint\ntasks = \"fir:2x4 crc:16\"\n")
             .expect("parses");
-        let run_all = run_matrix(&m_all, &MatrixOptions::default());
+        let run_all = collect(&m_all, false);
         assert_eq!(
             cell.rows[0].outcome.as_ref().expect("bounded").wcet,
             run_all.cells[0].rows[0]
@@ -836,13 +605,7 @@ mod tests {
              mode = isolated\ntasks = \"spath:2x200 spath:2x200\"\n",
         )
         .expect("parses");
-        let run = run_matrix(
-            &m,
-            &MatrixOptions {
-                validate: true,
-                ..MatrixOptions::default()
-            },
-        );
+        let run = collect(&m, true);
         let cell = &run.cells[0];
         assert!(cell.error.is_none(), "{:?}", cell.error);
         let v = cell.validation.as_ref().expect("validated");
@@ -857,7 +620,7 @@ mod tests {
     fn tdma_table_owner_out_of_range_fails_the_cell() {
         let m = parse_matrix("name = t\ncores = 2\narbiter = tdma-table:2@8\ntasks = fir:2x4\n")
             .expect("parses");
-        let run = run_matrix(&m, &MatrixOptions::default());
+        let run = collect(&m, false);
         assert!(run.cells[0]
             .error
             .as_ref()
@@ -871,13 +634,7 @@ mod tests {
             "name = lock\nl2_geom = 64x4x32@4\nmode = static-lock:2\ntasks = bsort:8\n",
         )
         .expect("parses");
-        let run = run_matrix(
-            &m,
-            &MatrixOptions {
-                validate: true,
-                ..MatrixOptions::default()
-            },
-        );
+        let run = collect(&m, true);
         let cell = &run.cells[0];
         assert!(cell.all_bounded());
         assert!(cell.validation.is_none());

@@ -1,7 +1,9 @@
-//! The streaming campaign runner: lazy Gray-code expansion,
-//! work-stealing execution, neighbour-incremental analysis and the
-//! persistent disk memo — the 10⁵–10⁶-cell counterpart of the
-//! materialized [`super::run::run_matrix`].
+//! The scenario runner: lazy Gray-code expansion, work-stealing
+//! execution, neighbour-incremental analysis and the persistent disk
+//! memo. Every matrix run goes through it — the 10⁵–10⁶-cell campaigns
+//! that stream their cells, and the small materialized runs (the
+//! experiments, `wcet scenarios`, every served request) that collect
+//! them with [`CampaignOptions::keep_cells`].
 //!
 //! * **Lazy expansion** — a mixed-radix *reflected Gray* odometer walks
 //!   the cross product without materializing a `Vec<Scenario>`;
@@ -9,20 +11,20 @@
 //!   significance order puts the cheapest axes innermost (`cycle_limit`,
 //!   then `mem_latency`/`transfer`/`arbiter`), so almost every step is a
 //!   delta the analysis can exploit. Cell *names* still use the
-//!   lexicographic rank ([`ScenarioMatrix::lex_rank`]), so streaming and
-//!   materialized expansion agree cell-for-cell.
+//!   lexicographic rank ([`ScenarioMatrix::lex_rank`]), the ordinal
+//!   [`ScenarioMatrix::expand`] gives the same cell.
 //! * **Dedup** — the sequential producer fingerprints every cell
 //!   (program fingerprints and builds are cached across the Gray run,
 //!   where only one axis moves at a time) and drops repeats through a
-//!   compact interned-fingerprint set, exactly like the materialized
-//!   runner. Skipped cells fold their changed axes into the next
-//!   emitted cell's delta, keeping the delta chain honest.
+//!   fingerprint set. Skipped cells fold their changed axes into the
+//!   next emitted cell's delta, keeping the delta chain honest.
 //! * **Work stealing** — `std::thread::scope` workers pull fixed-size
-//!   chunks from the producer. Each worker owns its engines; all
-//!   engines share one [`MemoDomain`] and one warm-start
-//!   [`SolveContext`]. Finished chunks enter a sequencing sink that
-//!   releases them in chunk order, so per-cell output and every
-//!   order-sensitive aggregate are byte-stable for a given spec —
+//!   chunks from the producer. The calling thread is worker 0, so a
+//!   one-worker run (a served request) spawns no thread at all. Each
+//!   worker owns its engines; all engines share one [`MemoDomain`] and
+//!   one warm-start [`SolveContext`]. Finished chunks enter a sequencing
+//!   sink that releases them in chunk order, so per-cell output and
+//!   every order-sensitive aggregate are byte-stable for a given spec —
 //!   regardless of worker count or scheduling.
 //! * **Neighbour-incremental analysis** — within a chunk, a cell whose
 //!   accumulated delta is `cycle_limit`-only reuses its predecessor's
@@ -33,19 +35,25 @@
 //!   every hierarchy probe. Chunk boundaries reset the chain (the
 //!   predecessor may live on another worker).
 //! * **Disk memo** — fingerprints resolved by [`DiskCache`] skip
-//!   analysis entirely; fresh fully-bounded cells are appended as their
-//!   chunk is sequenced (see [`super::cache`] for the format and
-//!   corruption rules), so a killed campaign loses at most the
-//!   in-flight chunks.
+//!   analysis entirely. A memo the run opens itself
+//!   ([`CampaignOptions::cache`]) also takes every fresh fully-bounded
+//!   cell as its chunk is sequenced (see [`super::cache`] for the format
+//!   and corruption rules), so a killed campaign loses at most the
+//!   in-flight chunks; a caller-owned memo ([`CampaignOptions::disk`])
+//!   is only read.
 //! * **Supervision** — every cell runs under `catch_unwind` with
 //!   per-cell resource budgets ([`CellBudget`]: simplex pivots,
 //!   fixpoint evaluations, wall clock): a panicking or runaway cell
-//!   becomes a structured [`CellFailure`] and the campaign keeps going.
-//!   A cell that first failed on inherited neighbour state is retried
-//!   once, cold, in case the chain it inherited was poisoned. A
-//!   campaign-level deadline is checked whenever a worker asks for a
-//!   chunk; in-flight chunks still flush, so a deadline exit is clean
-//!   and resumable.
+//!   becomes a structured [`CellFailure`] (kind `Panic`, `Budget` or
+//!   `Deadline`) and the run keeps going. A cell that first failed on
+//!   inherited neighbour state is retried once, cold, in case the chain
+//!   it inherited was poisoned. A run-level deadline is checked whenever
+//!   a worker asks for a chunk; in-flight chunks still flush, so a
+//!   deadline exit is clean and resumable.
+//! * **Collected runs** — with [`CampaignOptions::keep_cells`] the run
+//!   returns every cell in expansion (lex-rank) order, each duplicate
+//!   class represented by its lexicographically first cell: exactly the
+//!   cells, names and positions a materialized expansion has.
 //! * **Resume** — [`CampaignOptions::resume`] replays the Gray odometer
 //!   (builds, fingerprints and the dedup set, but no analysis) past the
 //!   positions covered by the memo's newest trusted checkpoint; chunk
@@ -115,10 +123,11 @@ const GRAY_ORDER: [usize; NUM_AXES] = [
     0,                // cores
 ];
 
-/// Options of one streaming campaign run.
+/// Options of one run.
 #[derive(Debug, Default)]
 pub struct CampaignOptions {
-    /// Worker threads (`0` = one per available core).
+    /// Worker threads (`0` = one per available core). The calling thread
+    /// is worker 0, so `1` runs every cell on the caller.
     pub threads: usize,
     /// Stop after consuming this many odometer positions (duplicates
     /// included) — the `--limit` smoke bound. `None` runs everything.
@@ -129,19 +138,38 @@ pub struct CampaignOptions {
     pub sample_one_in: u64,
     /// Seed of the deterministic validation sample.
     pub seed: u64,
-    /// Persistent memo location (`None` = no disk cache).
+    /// Persistent memo location (`None` = no disk cache): the run opens
+    /// it, serves durable cells from it, and appends and checkpoints
+    /// fresh ones.
     pub cache: Option<PathBuf>,
-    /// Retain every [`CellOutcome`] in [`CampaignRun::cells`] (tests and
-    /// small runs; campaigns should stream instead).
+    /// Retain every [`CellOutcome`] in [`CampaignRun::cells`], in
+    /// expansion order (materialized runs; campaigns should stream
+    /// instead).
     pub keep_cells: bool,
-    /// An external warm-start context (see
-    /// [`super::run::MatrixOptions::ctx`]); counters are cumulative when
-    /// shared.
+    /// An external warm-start context: pass one context to several runs
+    /// (as the experiment drivers and the analysis service do) to share
+    /// cached bases across matrices. `None` creates a fresh context.
+    /// Its counters are cumulative, so [`CampaignRun::solver`] then
+    /// reflects the context's lifetime.
     pub ctx: Option<Arc<SolveContext>>,
+    /// An external memo domain: a long-lived caller (the analysis
+    /// service) passes its — possibly budgeted, see
+    /// [`MemoDomain::with_budget`] — domain so hierarchy fixpoints, cost
+    /// tables and bounds stay hot across runs. Results are unchanged
+    /// (every memo key is deterministic and machine-independent);
+    /// [`CampaignRun::memo`] and [`CampaignRun::fixpoint`] then reflect
+    /// the domain's lifetime. `None` creates a fresh domain.
+    pub memo: Option<Arc<MemoDomain>>,
+    /// A caller-owned durable memo, read like the one [`Self::cache`]
+    /// opens but never written: durable appends stay the caller's job
+    /// (the analysis service flushes on shutdown). Takes precedence
+    /// over [`Self::cache`].
+    pub disk: Option<Arc<DiskCache>>,
     /// Per-cell resource budgets; an exhausted cell fails alone (a
-    /// [`CellFailure`] of kind `Budget`) instead of stalling a worker.
+    /// [`CellFailure`] of kind `Budget`, or `Deadline` for the wall
+    /// clock) instead of stalling a worker.
     pub budget: CellBudget,
-    /// Campaign-level wall-clock deadline, checked whenever a worker
+    /// Run-level wall-clock deadline, checked whenever a worker
     /// asks for a chunk: expired → no new work, in-flight chunks flush,
     /// the run reports [`CampaignRun::deadline_hit`] and remains
     /// resumable.
@@ -154,8 +182,8 @@ pub struct CampaignOptions {
     pub fault: Option<FaultPlan>,
 }
 
-/// Per-cell resource budgets of a supervised campaign. `None` fields
-/// are unlimited. Exhaustion aborts the *cell* — the solvers unwind
+/// Per-cell resource budgets of a supervised run. `None` fields are
+/// unlimited. Exhaustion aborts the *cell* — the solvers unwind
 /// with a typed payload that the supervisor catches and classifies —
 /// never the campaign.
 #[derive(Debug, Clone, Copy, Default)]
@@ -168,7 +196,7 @@ pub struct CellBudget {
     pub max_cell_ms: Option<u64>,
 }
 
-/// The outcome of a streaming campaign.
+/// The outcome of a run.
 #[derive(Debug)]
 pub struct CampaignRun {
     /// Matrix name.
@@ -217,8 +245,8 @@ pub struct CampaignRun {
     /// Names of cells expected sound that broke their bound — a
     /// soundness bug if non-empty.
     pub violations: Vec<String>,
-    /// Memo-table counters of the campaign's shared [`MemoDomain`]
-    /// (including neighbour hits).
+    /// Memo-table counters of the run's shared [`MemoDomain`] (including
+    /// neighbour hits); the domain's lifetime view when it was passed in.
     pub memo: MemoStats,
     /// Solver effort from the (possibly shared) warm-start context.
     pub solver: SolverStats,
@@ -228,7 +256,8 @@ pub struct CampaignRun {
     pub sim_skip: SkipStats,
     /// Wall-clock time of the whole run.
     pub wall: Duration,
-    /// Every cell outcome, in deterministic emission order
+    /// Every cell outcome in expansion (lex-rank) order, each duplicate
+    /// class under its lexicographically first cell
     /// ([`CampaignOptions::keep_cells`] only).
     pub cells: Vec<CellOutcome>,
 }
@@ -340,12 +369,24 @@ struct ProgramEntry {
 /// reads, the build outcome, and the machine fingerprint.
 type CachedBuild = ([usize; 10], Result<Arc<BuiltScenario>, String>, (u64, u64));
 
+/// A first-seen cell: its description, build, machine fingerprint and
+/// cell fingerprint.
+type Visited = (
+    Scenario,
+    Result<Arc<BuiltScenario>, String>,
+    (u64, u64),
+    (u64, u64),
+);
+
 /// The sequential chunk producer behind a mutex: odometer + build cache
 /// + fingerprint dedup + disk-memo probe.
 struct Producer<'m> {
     matrix: &'m ScenarioMatrix,
     odo: GrayOdometer,
     seen: HashSet<(u64, u64)>,
+    /// Per fingerprint, the odometer digits of its lexicographically
+    /// first cell so far ([`CampaignOptions::keep_cells`] runs only).
+    lex_first: Option<HashMap<(u64, u64), [usize; NUM_AXES]>>,
     programs: HashMap<usize, Arc<ProgramEntry>>,
     /// Gray locality: the previous build, keyed by the digits of the
     /// axes [`build_with_programs`] reads. Most steps (cycle_limit,
@@ -375,6 +416,7 @@ impl<'m> Producer<'m> {
             matrix,
             odo: GrayOdometer::new(matrix.radices()),
             seen: HashSet::new(),
+            lex_first: opts.keep_cells.then(HashMap::new),
             programs: HashMap::new(),
             last_build: None,
             pending: MASK_ALL,
@@ -412,29 +454,45 @@ impl<'m> Producer<'m> {
             };
             self.produced += 1;
             self.resumed += 1;
-            let (built, _) = self.build(&digits);
-            let scenario = self.matrix.cell_at(&digits);
-            let fingerprint = match &built {
-                Ok(b) => {
-                    let entry = self.programs_for(digits[11]);
-                    fingerprint_built(&scenario, b, &entry.task_fps)
-                }
-                Err(_) => fingerprint_unbuildable(&scenario),
-            };
-            if !self.seen.insert(fingerprint) {
-                self.duplicates += 1;
-            }
+            let _ = self.visit(&digits);
         }
     }
 
-    fn programs_for(&mut self, tasks_digit: usize) -> Arc<ProgramEntry> {
-        let matrix = self.matrix;
+    /// Builds and fingerprints the cell at `digits` and dedups it:
+    /// `None` when an earlier cell had the same fingerprint, otherwise
+    /// the cell, its build, machine fingerprint and cell fingerprint.
+    fn visit(&mut self, digits: &[usize; NUM_AXES]) -> Option<Visited> {
+        let scenario = self.matrix.cell_at(digits);
+        let (built, machine_fp) = self.build(digits, &scenario);
+        let fingerprint = match &built {
+            Ok(b) => {
+                let entry = self.programs_for(digits[11], &scenario);
+                fingerprint_built(&scenario, b, &entry.task_fps)
+            }
+            Err(_) => fingerprint_unbuildable(&scenario),
+        };
+        if let Some(first) = &mut self.lex_first {
+            let matrix = self.matrix;
+            first
+                .entry(fingerprint)
+                .and_modify(|d| {
+                    if matrix.lex_rank(digits) < matrix.lex_rank(d) {
+                        *d = *digits;
+                    }
+                })
+                .or_insert(*digits);
+        }
+        if !self.seen.insert(fingerprint) {
+            self.duplicates += 1;
+            return None;
+        }
+        Some((scenario, built, machine_fp, fingerprint))
+    }
+
+    /// The parsed programs of a tasks-axis value (`scn` is any cell
+    /// carrying it), parsed and fingerprinted on first use.
+    fn programs_for(&mut self, tasks_digit: usize, scn: &Scenario) -> Arc<ProgramEntry> {
         Arc::clone(self.programs.entry(tasks_digit).or_insert_with(|| {
-            // Any cell of this tasks-axis value parses the same specs;
-            // reconstruct them once via a throw-away cell.
-            let mut digits = [0usize; NUM_AXES];
-            digits[11] = tasks_digit;
-            let scn = matrix.cell_at(&digits);
             let programs = parse_programs(&scn.tasks);
             let task_fps = programs
                 .as_deref()
@@ -447,6 +505,7 @@ impl<'m> Producer<'m> {
     fn build(
         &mut self,
         digits: &[usize; NUM_AXES],
+        scn: &Scenario,
     ) -> (Result<Arc<BuiltScenario>, String>, (u64, u64)) {
         let mut sig = [0usize; 10];
         sig[..9].copy_from_slice(&digits[..9]);
@@ -456,10 +515,9 @@ impl<'m> Producer<'m> {
                 return (built.clone(), *fp);
             }
         }
-        let entry = self.programs_for(digits[11]);
-        let scn = self.matrix.cell_at(digits);
+        let entry = self.programs_for(digits[11], scn);
         let built = match &entry.programs {
-            Ok(programs) => build_with_programs(&scn, programs.clone()).map(Arc::new),
+            Ok(programs) => build_with_programs(scn, programs.clone()).map(Arc::new),
             Err(e) => Err(e.clone()),
         };
         let machine_fp = built
@@ -499,19 +557,9 @@ impl<'m> Producer<'m> {
                     None => self.pending = MASK_ALL,
                 }
             }
-            let (built, machine_fp) = self.build(&digits);
-            let scenario = self.matrix.cell_at(&digits);
-            let fingerprint = match &built {
-                Ok(b) => {
-                    let entry = self.programs_for(digits[11]);
-                    fingerprint_built(&scenario, b, &entry.task_fps)
-                }
-                Err(_) => fingerprint_unbuildable(&scenario),
-            };
-            if !self.seen.insert(fingerprint) {
-                self.duplicates += 1;
+            let Some((scenario, built, machine_fp, fingerprint)) = self.visit(&digits) else {
                 continue;
-            }
+            };
             let cached = self.cache.lookup(fingerprint).map(<[CachedRow]>::to_vec);
             let rank = self.matrix.lex_rank(&digits) as u64;
             let sample = self.sample_one_in > 0
@@ -561,10 +609,12 @@ type OnCell<'f> = Box<dyn FnMut(&CellOutcome) + Send + 'f>;
 struct Sink<'f> {
     next: usize,
     staged: BTreeMap<usize, ChunkResult>,
-    on_cell: Option<OnCell<'f>>,
+    on_cell: OnCell<'f>,
     keep_cells: bool,
     cells: Vec<CellOutcome>,
-    cache: Arc<DiskCache>,
+    /// The disk memo fresh cells are appended to — only one the run
+    /// opened itself ([`CampaignOptions::cache`]).
+    write_back: Option<Arc<DiskCache>>,
     /// The matrix fingerprint every checkpoint is stamped with.
     matrix_fp: (u64, u64),
     fault: Option<FaultPlan>,
@@ -600,39 +650,42 @@ impl Sink<'_> {
         }
     }
 
-    fn absorb(&mut self, result: ChunkResult) {
+    /// Durability before coverage: the chunk's entries flush now, and a
+    /// checkpoint may only ever claim positions whose chunks were
+    /// absorbed — so a kill between the two loses coverage (recomputed
+    /// on resume), never correctness.
+    fn flush(&mut self, cache: &DiskCache, result: &ChunkResult) {
         let absorbed_chunk = self.next - 1;
+        match cache.append(&result.fresh) {
+            Ok(n) => self.disk_appended += n,
+            Err(e) => self.record_cache_error(&e),
+        }
+        if let Some(plan) = &self.fault {
+            if plan.tears_after_chunk(absorbed_chunk) {
+                cache.inject_torn_tail();
+            }
+            if plan.poisons_after_chunk(absorbed_chunk) {
+                cache.inject_poisoned_line();
+            }
+        }
+        self.chunks_since_ckpt += 1;
+        if self.chunks_since_ckpt >= CHECKPOINT_EVERY {
+            self.chunks_since_ckpt = 0;
+            if let Err(e) = cache.write_checkpoint(self.matrix_fp, result.produced_after) {
+                self.record_cache_error(&e);
+            }
+        }
+    }
+
+    fn absorb(&mut self, result: ChunkResult) {
         self.rows_reused += result.rows_reused;
         self.disk_hits += result.disk_hits;
         self.failures += result.failures;
         self.retries += result.retries;
         self.fixpoint.absorb(&result.fixpoint);
         self.sim_skip.absorb(&result.sim_skip);
-        // Durability before coverage: this chunk's entries flush now,
-        // and a checkpoint may only ever claim positions whose chunks
-        // were absorbed — so a kill between the two loses coverage
-        // (recomputed on resume), never correctness.
-        match self.cache.append(&result.fresh) {
-            Ok(n) => self.disk_appended += n,
-            Err(e) => self.record_cache_error(&e),
-        }
-        if let Some(plan) = &self.fault {
-            if plan.tears_after_chunk(absorbed_chunk) {
-                self.cache.inject_torn_tail();
-            }
-            if plan.poisons_after_chunk(absorbed_chunk) {
-                self.cache.inject_poisoned_line();
-            }
-        }
-        self.chunks_since_ckpt += 1;
-        if self.chunks_since_ckpt >= CHECKPOINT_EVERY {
-            self.chunks_since_ckpt = 0;
-            if let Err(e) = self
-                .cache
-                .write_checkpoint(self.matrix_fp, result.produced_after)
-            {
-                self.record_cache_error(&e);
-            }
+        if let Some(cache) = self.write_back.clone() {
+            self.flush(&cache, &result);
         }
         for outcome in result.outcomes {
             self.unique += 1;
@@ -643,19 +696,12 @@ impl Sink<'_> {
             }
             if let Some(v) = &outcome.validation {
                 self.validated += 1;
-                if v.all_sound {
-                    self.sound += 1;
-                } else if outcome
-                    .scenario
-                    .mode
-                    .expected_sound(outcome.scenario.tasks.len())
-                {
-                    self.violations.push(outcome.scenario.name.clone());
-                }
+                self.sound += usize::from(v.all_sound);
             }
-            if let Some(f) = &mut self.on_cell {
-                f(&outcome);
+            if violates(&outcome) {
+                self.violations.push(outcome.scenario.name.clone());
             }
+            (self.on_cell)(&outcome);
             if self.keep_cells {
                 self.cells.push(outcome);
             }
@@ -663,13 +709,35 @@ impl Sink<'_> {
     }
 }
 
-/// Runs a streaming campaign, discarding each cell after aggregation.
+/// A validated cell that broke its bound although its mode is sound by
+/// construction (every mode but multi-task `solo`) — a soundness bug.
+fn violates(outcome: &CellOutcome) -> bool {
+    outcome.validation.as_ref().is_some_and(|v| !v.all_sound)
+        && outcome
+            .scenario
+            .mode
+            .expected_sound(outcome.scenario.tasks.len())
+}
+
+/// What every worker of one run shares.
+struct Shared {
+    memo: Arc<MemoDomain>,
+    ctx: Arc<SolveContext>,
+    ipet: IpetOptions,
+    budget: CellBudget,
+    fault: Option<FaultPlan>,
+    /// Collect fresh rows for the disk memo (the sink appends them).
+    write_back: bool,
+}
+
+/// Runs a scenario matrix, discarding each cell after aggregation
+/// unless [`CampaignOptions::keep_cells`] collects it.
 #[must_use]
 pub fn run_campaign(matrix: &ScenarioMatrix, opts: &CampaignOptions) -> CampaignRun {
     run_campaign_with(matrix, opts, |_| {})
 }
 
-/// Runs a streaming campaign, handing every cell outcome — in
+/// Runs a scenario matrix, handing every cell outcome — in
 /// deterministic emission order — to `on_cell` as soon as its chunk is
 /// sequenced.
 pub fn run_campaign_with(
@@ -678,36 +746,48 @@ pub fn run_campaign_with(
     on_cell: impl FnMut(&CellOutcome) + Send,
 ) -> CampaignRun {
     let start = Instant::now();
-    let ctx = opts
-        .ctx
-        .clone()
-        .unwrap_or_else(|| Arc::new(SolveContext::new()));
-    let memo = Arc::new(MemoDomain::new());
-    let cache = Arc::new(match &opts.cache {
-        Some(path) => DiskCache::open(path),
-        None => DiskCache::disabled(),
-    });
-    let ipet = IpetOptions::default();
+    let cache = match (&opts.disk, &opts.cache) {
+        (Some(disk), _) => Arc::clone(disk),
+        (None, Some(path)) => Arc::new(DiskCache::open(path)),
+        (None, None) => Arc::new(DiskCache::disabled()),
+    };
+    let shared = Shared {
+        memo: opts
+            .memo
+            .clone()
+            .unwrap_or_else(|| Arc::new(MemoDomain::new())),
+        ctx: opts
+            .ctx
+            .clone()
+            .unwrap_or_else(|| Arc::new(SolveContext::new())),
+        ipet: IpetOptions::default(),
+        budget: opts.budget,
+        fault: opts.fault,
+        write_back: opts.disk.is_none() && opts.cache.is_some(),
+    };
     let workers = match opts.threads {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
     };
     // Checkpoints bind to the matrix they measured: a memo shared
-    // across specs never fast-forwards the wrong campaign.
-    let matrix_fp = debug_fingerprint(matrix);
-    let budget = opts.budget;
-    let fault = opts.fault;
+    // across specs never fast-forwards the wrong campaign. A run that
+    // neither writes nor resumes from a checkpoint skips the hash.
+    let matrix_fp = if shared.write_back || opts.resume {
+        debug_fingerprint(matrix)
+    } else {
+        (0, 0)
+    };
     install_supervised_panic_hook();
     let producer = Mutex::new(Producer::new(matrix, opts, Arc::clone(&cache), matrix_fp));
     let sink = Mutex::new(Sink {
         next: 0,
         staged: BTreeMap::new(),
-        on_cell: Some(Box::new(on_cell)),
+        on_cell: Box::new(on_cell),
         keep_cells: opts.keep_cells,
         cells: Vec::new(),
-        cache: Arc::clone(&cache),
+        write_back: shared.write_back.then(|| Arc::clone(&cache)),
         matrix_fp,
-        fault,
+        fault: shared.fault,
         chunks_since_ckpt: 0,
         disk_appended: 0,
         cache_error: None,
@@ -725,29 +805,24 @@ pub fn run_campaign_with(
         sim_skip: SkipStats::default(),
     });
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut engines: HashMap<(u64, u64), AnalysisEngine> = HashMap::new();
-                loop {
-                    let chunk = producer.lock().expect("producer lock").next_chunk();
-                    let Some((idx, items, produced_after)) = chunk else {
-                        break;
-                    };
-                    let result = process_chunk(
-                        items,
-                        produced_after,
-                        budget,
-                        fault.as_ref(),
-                        &mut engines,
-                        &memo,
-                        &ctx,
-                        &ipet,
-                    );
-                    sink.lock().expect("sink lock").push(idx, result);
-                }
-            });
+    let worker = || {
+        let mut engines: HashMap<(u64, u64), AnalysisEngine> = HashMap::new();
+        loop {
+            let chunk = producer.lock().expect("producer lock").next_chunk();
+            let Some((idx, items, produced_after)) = chunk else {
+                break;
+            };
+            let result = process_chunk(items, produced_after, &shared, &mut engines);
+            sink.lock().expect("sink lock").push(idx, result);
         }
+    };
+    std::thread::scope(|scope| {
+        // The calling thread is worker 0: a one-worker run spawns
+        // nothing, which keeps a served request off the thread spawner.
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
     let producer = producer.into_inner().expect("producer lock");
@@ -756,14 +831,34 @@ pub fn run_campaign_with(
     // The final checkpoint: every consumed position's chunk has been
     // absorbed and flushed, so coverage through `produced` is durable
     // (a later `--resume` of a finished run has nothing left to do).
-    if producer.produced > 0 {
-        if let Err(e) = cache.write_checkpoint(matrix_fp, producer.produced) {
-            sink.record_cache_error(&e);
+    if let Some(cache) = &sink.write_back {
+        if producer.produced > 0 {
+            if let Err(e) = cache.write_checkpoint(matrix_fp, producer.produced) {
+                sink.record_cache_error(&e);
+            }
         }
     }
-    let ctx_stats = ctx.stats();
+    if let Some(first) = &producer.lex_first {
+        // Materialized order and names: each kept cell stands for the
+        // lexicographically first cell of its duplicate class. Rows and
+        // validation are unchanged — the class shares one fingerprint.
+        if producer.duplicates > 0 {
+            for cell in &mut sink.cells {
+                cell.scenario = matrix.cell_at(&first[&cell.fingerprint]);
+            }
+            sink.violations = sink
+                .cells
+                .iter()
+                .filter(|c| violates(c))
+                .map(|c| c.scenario.name.clone())
+                .collect();
+        }
+        sink.cells
+            .sort_by_key(|c| matrix.lex_rank(&first[&c.fingerprint]));
+    }
+    let ctx_stats = shared.ctx.stats();
     let mut fixpoint = sink.fixpoint;
-    fixpoint.absorb(&memo.fixpoint_stats());
+    fixpoint.absorb(&shared.memo.fixpoint_stats());
     CampaignRun {
         matrix: matrix.name.clone(),
         total_cells: matrix.num_cells(),
@@ -785,11 +880,11 @@ pub fn run_campaign_with(
         validated: sink.validated,
         sound: sink.sound,
         violations: sink.violations,
-        memo: memo.stats(),
+        memo: shared.memo.stats(),
         solver: SolverStats {
             warm_hits: ctx_stats.warm_hits,
             cold_solves: ctx_stats.cold_solves,
-            totals: ctx.totals(),
+            totals: shared.ctx.totals(),
         },
         fixpoint,
         sim_skip: sink.sim_skip,
@@ -829,32 +924,25 @@ fn supervised<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn std::any::Any + Sen
     result
 }
 
-/// Runs `f` under the campaign supervisor's panic regime: the
-/// process-wide hook is installed (once) and silenced for this thread
-/// while `f` runs, so an *expected* abort — budget exhaustion, a
-/// poisoned input — unwinds quietly into the returned payload instead
-/// of spraying one backtrace per occurrence. The analysis server wraps
-/// each submission in this; the campaign runner uses the same machinery
-/// internally. Unsupervised code on other threads keeps its normal
-/// panic output.
-///
-/// # Errors
-///
-/// The caught panic payload, for the caller to classify (downcast the
-/// solver crates' `BudgetExceeded` types to tell budget exhaustion from
-/// a plain panic).
-pub fn run_supervised<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn std::any::Any + Send>> {
-    install_supervised_panic_hook();
-    supervised(f)
-}
-
 /// Maps a caught panic payload to a failure class: typed budget
-/// exhaustion from either solver crate, or a plain panic.
+/// exhaustion from either solver crate (`Deadline` when the wall clock
+/// ran out), or a plain panic.
 fn classify_panic(payload: &(dyn std::any::Any + Send)) -> (FailureKind, String) {
-    if let Some(b) = payload.downcast_ref::<wcet_ilp::budget::BudgetExceeded>() {
-        (FailureKind::Budget, b.to_string())
-    } else if let Some(b) = payload.downcast_ref::<wcet_ir::budget::BudgetExceeded>() {
-        (FailureKind::Budget, b.to_string())
+    let budget = payload
+        .downcast_ref::<wcet_ilp::budget::BudgetExceeded>()
+        .map(|b| (b.resource, b.to_string()))
+        .or_else(|| {
+            payload
+                .downcast_ref::<wcet_ir::budget::BudgetExceeded>()
+                .map(|b| (b.resource, b.to_string()))
+        });
+    if let Some((resource, message)) = budget {
+        let kind = if resource.contains("wall-clock") {
+            FailureKind::Deadline
+        } else {
+            FailureKind::Budget
+        };
+        (kind, message)
     } else if let Some(s) = payload.downcast_ref::<&str>() {
         (FailureKind::Panic, (*s).to_string())
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -880,19 +968,13 @@ struct CellAnalysis {
 /// Runs inside [`supervised`]; may unwind at any point.
 #[allow(clippy::too_many_arguments)]
 fn analyze_cell(
-    scn: &Scenario,
+    item: &WorkItem,
     built: &Arc<BuiltScenario>,
-    fingerprint: (u64, u64),
-    machine_fp: (u64, u64),
-    cached: Option<&[CachedRow]>,
-    sample: bool,
     budget: CellBudget,
     prior_rows: Option<&[TaskRow]>,
     prior_arts: Option<&CellArtifacts>,
     engines: &mut HashMap<(u64, u64), AnalysisEngine>,
-    memo: &Arc<MemoDomain>,
-    ctx: &Arc<SolveContext>,
-    ipet: &IpetOptions,
+    shared: &Shared,
     fix: &FixpointSink,
     sim_skip: &mut SkipStats,
 ) -> CellAnalysis {
@@ -904,7 +986,8 @@ fn analyze_cell(
     let _fix_budget = wcet_ir::budget::BudgetScope::arm(budget.max_fixpoint_evals, wall);
     let _lp_budget = wcet_ilp::budget::BudgetScope::arm(budget.max_pivots, wall);
 
-    let (rows, arts, disk_hit, rows_reused) = if let Some(cached) = cached {
+    let scn = &item.scenario;
+    let (rows, arts, disk_hit, rows_reused) = if let Some(cached) = &item.cached {
         // Disk memo: rows are prefabricated (bounds only, no report).
         // The analysis chain breaks here — artifacts were never
         // computed — but row reuse stays valid.
@@ -929,30 +1012,30 @@ fn analyze_cell(
         (prev.to_vec(), None, false, true)
     } else if scn.mode.is_static_family() {
         (
-            analyze_static(scn, built, ipet, ctx, fix),
+            analyze_static(scn, built, &shared.ipet, &shared.ctx, fix),
             None,
             false,
             false,
         )
     } else {
-        let engine = engines.entry(machine_fp).or_insert_with(|| {
+        let engine = engines.entry(item.machine_fp).or_insert_with(|| {
             AnalysisEngine::new(built.machine.clone())
-                .with_solve_context(Arc::clone(ctx))
-                .with_memo(Arc::clone(memo))
+                .with_solve_context(Arc::clone(&shared.ctx))
+                .with_memo(Arc::clone(&shared.memo))
         });
         let (rows, arts) = analyze_engine_incremental(scn, built, engine, prior_arts);
         (rows, Some(arts), false, false)
     };
     let mut outcome = CellOutcome {
         scenario: scn.clone(),
-        fingerprint,
+        fingerprint: item.fingerprint,
         rows,
         validation: None,
         validation_skipped: None,
         error: None,
         failure: None,
     };
-    if sample {
+    if item.sample {
         validate_cell(built, &mut outcome, sim_skip);
     }
     CellAnalysis {
@@ -965,16 +1048,11 @@ fn analyze_cell(
 
 /// Runs one chunk's cells in order, threading the neighbour chain, each
 /// cell under supervision (see the [module docs](self)).
-#[allow(clippy::too_many_arguments)]
 fn process_chunk(
     items: Vec<WorkItem>,
     produced_after: usize,
-    budget: CellBudget,
-    fault: Option<&FaultPlan>,
+    shared: &Shared,
     engines: &mut HashMap<(u64, u64), AnalysisEngine>,
-    memo: &Arc<MemoDomain>,
-    ctx: &Arc<SolveContext>,
-    ipet: &IpetOptions,
 ) -> ChunkResult {
     let fix = FixpointSink::new();
     let mut result = ChunkResult {
@@ -988,54 +1066,46 @@ fn process_chunk(
         fixpoint: FixpointStats::default(),
         sim_skip: SkipStats::default(),
     };
-    // The in-chunk neighbour chain: the previous cell's rows (valid
-    // while only `cycle_limit` moves) and engine artifacts (valid while
-    // only bus/timing axes move).
-    let mut last_rows: Option<Vec<TaskRow>> = None;
+    // The in-chunk neighbour chain: the previous cell (its rows stay
+    // valid while only `cycle_limit` moves) and its engine artifacts
+    // (valid while only bus/timing axes move).
+    let mut last: Option<usize> = None;
     let mut last_arts: Option<CellArtifacts> = None;
     for item in items {
-        let WorkItem {
-            scenario,
-            built,
-            machine_fp,
-            fingerprint,
-            changed,
-            cached,
-            sample,
-            rank,
-        } = item;
-        let built = match built {
+        let built = match &item.built {
             Ok(b) => b,
             Err(e) => {
-                last_rows = None;
+                last = None;
                 last_arts = None;
                 result.outcomes.push(CellOutcome {
-                    scenario,
-                    fingerprint,
+                    scenario: item.scenario,
+                    fingerprint: item.fingerprint,
                     rows: Vec::new(),
                     validation: None,
                     validation_skipped: None,
-                    error: Some(e),
+                    error: Some(e.clone()),
                     failure: None,
                 });
                 continue;
             }
         };
-        let cell_budget = match fault {
+        let rank = item.rank;
+        let cell_budget = match &shared.fault {
             Some(plan) if plan.starves(rank) => CellBudget {
                 max_pivots: Some(1),
                 max_fixpoint_evals: Some(1),
-                max_cell_ms: budget.max_cell_ms,
+                max_cell_ms: shared.budget.max_cell_ms,
             },
-            _ => budget,
+            _ => shared.budget,
         };
-        let inject_panic = fault.is_some_and(|plan| plan.injects_panic(rank));
-        let prior_rows = if (changed & !CYCLE_MASK) == 0 {
-            last_rows.as_deref()
-        } else {
-            None
-        };
-        let prior_arts = if (changed & !BUS_MASK) == 0 {
+        let inject_panic = shared
+            .fault
+            .as_ref()
+            .is_some_and(|plan| plan.injects_panic(rank));
+        let prior_rows = last
+            .filter(|_| (item.changed & !CYCLE_MASK) == 0)
+            .map(|i| result.outcomes[i].rows.as_slice());
+        let prior_arts = if (item.changed & !BUS_MASK) == 0 {
             last_arts.as_ref()
         } else {
             None
@@ -1044,19 +1114,13 @@ fn process_chunk(
         let first = supervised(|| {
             assert!(!inject_panic, "injected fault: panic at cell rank {rank}");
             analyze_cell(
-                &scenario,
-                &built,
-                fingerprint,
-                machine_fp,
-                cached.as_deref(),
-                sample,
+                &item,
+                built,
                 cell_budget,
                 prior_rows,
                 prior_arts,
                 engines,
-                memo,
-                ctx,
-                ipet,
+                shared,
                 &fix,
                 &mut result.sim_skip,
             )
@@ -1068,23 +1132,17 @@ fn process_chunk(
                 if kind == FailureKind::Panic && used_neighbor {
                     // The inherited chain may be poisoned (a neighbour
                     // left partial state behind): one cold retry.
-                    // Budget failures never retry — a cold re-analysis
-                    // only does more work, deterministically.
+                    // Budget and deadline failures never retry — a cold
+                    // re-analysis only does more work, deterministically.
                     let second = supervised(|| {
                         analyze_cell(
-                            &scenario,
-                            &built,
-                            fingerprint,
-                            machine_fp,
-                            cached.as_deref(),
-                            sample,
+                            &item,
+                            built,
                             cell_budget,
                             None,
                             None,
                             engines,
-                            memo,
-                            ctx,
-                            ipet,
+                            shared,
                             &fix,
                             &mut result.sim_skip,
                         )
@@ -1105,12 +1163,12 @@ fn process_chunk(
                 // Give up on this cell alone; the chain resets so the
                 // next cell analyses cold instead of inheriting state a
                 // panic may have left half-updated.
-                last_rows = None;
+                last = None;
                 last_arts = None;
                 result.failures += 1;
                 result.outcomes.push(CellOutcome {
-                    scenario,
-                    fingerprint,
+                    scenario: item.scenario,
+                    fingerprint: item.fingerprint,
                     rows: Vec::new(),
                     validation: None,
                     validation_skipped: None,
@@ -1134,9 +1192,9 @@ fn process_chunk(
             last_arts = analysis.arts;
         }
         let outcome = analysis.outcome;
-        if !analysis.disk_hit && outcome.all_bounded() && !result_has(&result.fresh, fingerprint) {
+        if shared.write_back && !analysis.disk_hit && outcome.all_bounded() {
             result.fresh.push((
-                fingerprint,
+                item.fingerprint,
                 outcome
                     .rows
                     .iter()
@@ -1150,18 +1208,11 @@ fn process_chunk(
                     .collect(),
             ));
         }
-        last_rows = Some(outcome.rows.clone());
+        last = Some(result.outcomes.len());
         result.outcomes.push(outcome);
     }
     result.fixpoint.absorb(&fix.total());
     result
-}
-
-/// True when `fresh` already carries `fp` — only possible for disk-memo
-/// hits, which are never re-appended (the producer deduplicates
-/// fingerprints, so fresh cells are unique by construction).
-fn result_has(fresh: &[((u64, u64), Vec<CachedRow>)], fp: (u64, u64)) -> bool {
-    fresh.iter().any(|(f, _)| *f == fp)
 }
 
 #[cfg(test)]
@@ -1198,6 +1249,62 @@ mod tests {
         }
         assert_eq!(seen.len(), total, "every cross-product position visited");
         assert!(odo.step().is_none(), "exhaustion is terminal");
+    }
+
+    #[test]
+    fn one_worker_streams_every_cell_on_the_calling_thread() {
+        // A served request is a one-worker run: it must not pay for a
+        // thread spawn, so every cell is sequenced on the caller.
+        let matrix = crate::scenario::spec::parse_matrix(
+            "name = caller\narbiter = [rr, tdma:10]\nmode = [isolated, joint]\n\
+             cycle_limit = [100000, 200000]\ntasks = \"fir:2x4 crc:16\"\n",
+        )
+        .expect("parses");
+        let caller = std::thread::current().id();
+        let mut seen_on = Vec::new();
+        let run = run_campaign_with(
+            &matrix,
+            &CampaignOptions {
+                threads: 1,
+                ..CampaignOptions::default()
+            },
+            |_| seen_on.push(std::thread::current().id()),
+        );
+        assert_eq!(seen_on.len(), run.unique);
+        assert!(
+            seen_on.iter().all(|&t| t == caller),
+            "on_cell ran off the calling thread"
+        );
+    }
+
+    #[test]
+    fn collected_runs_keep_each_duplicate_class_under_its_lex_first_cell() {
+        // With `l2 = none` the geometry is irrelevant, so each task set
+        // has one duplicate pair. The Gray walk reaches `crc` with the
+        // geometry axis at its reflected end and meets #003 before #001;
+        // a collected run still keeps what expansion keeps: #000, #001.
+        let matrix = crate::scenario::spec::parse_matrix(
+            "name = dup\nl2_geom = [64x4x32@4, 128x4x32@4]\nl2 = none\n\
+             tasks = [fir:2x4, crc:16]\n",
+        )
+        .expect("parses");
+        let mut streamed = Vec::new();
+        let run = run_campaign_with(
+            &matrix,
+            &CampaignOptions {
+                threads: 1,
+                keep_cells: true,
+                sample_one_in: 1,
+                ..CampaignOptions::default()
+            },
+            |cell| streamed.push(cell.scenario.name.clone()),
+        );
+        assert_eq!(streamed, ["dup#000", "dup#003"], "Gray emission order");
+        let kept: Vec<&str> = run.cells.iter().map(|c| c.scenario.name.as_str()).collect();
+        assert_eq!(kept, ["dup#000", "dup#001"]);
+        assert_eq!(run.cells[1].scenario.tasks, ["crc:16"]);
+        assert_eq!(run.duplicates, 2);
+        assert_eq!(run.sound, 2);
     }
 
     #[test]

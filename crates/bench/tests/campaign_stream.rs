@@ -1,10 +1,11 @@
 //! Streaming-campaign guarantees:
 //!
-//! 1. the streaming pipeline is *semantics-preserving*: on the
-//!    checked-in example matrix and on random proptest matrices, the
-//!    deduplicated fingerprint set and every per-cell row (bounds,
-//!    reports, errors — byte-identical `Debug`) match the materialized
-//!    [`run_matrix`] runner;
+//! 1. the runner is *semantics-preserving*: on the checked-in example
+//!    matrix and on random proptest matrices, streamed and collected
+//!    (materialized) runs agree cell for cell at any worker count, keep
+//!    exactly the cells a lexicographic expansion keeps, and every row
+//!    (bound, report, error) equals the cold per-cell oracle in
+//!    `common` — including rows served by neighbour reuse;
 //! 2. the per-cell output order is deterministic — independent of the
 //!    worker count — and re-runs byte-identically;
 //! 3. the disk memo round-trips: a warm run serves every bounded cell
@@ -16,11 +17,14 @@
 //!    CRC-corrupt lines (distinct from unparseable ones), a truncated
 //!    final line, duplicate fingerprints (last write wins), and a
 //!    checkpoint claiming more entries than the file holds;
-//! 6. resource budgets fail the starved cell alone — typed, retry-free
-//!    — and a zero deadline stops cleanly and stays resumable;
+//! 6. resource budgets fail the starved cell alone — typed (`Budget`,
+//!    or `Deadline` for the cell's wall clock), retry-free — and a zero
+//!    run deadline stops cleanly and stays resumable;
 //! 7. kill-then-`--resume` (including a torn final append) reproduces
 //!    the uninterrupted run's memo data lines byte-for-byte and its
 //!    emitted bounds exactly.
+
+mod common;
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -30,17 +34,20 @@ use proptest::prelude::*;
 use wcet_bench::scenario::cache::{self, CachedRow, Checkpoint, DiskCache};
 use wcet_bench::scenario::run::TaskRow;
 use wcet_bench::scenario::{
-    parse_matrix, run_campaign, run_campaign_with, run_matrix, CampaignOptions, CampaignRun,
-    CellBudget, FailureKind, MatrixOptions, ScenarioMatrix,
+    parse_matrix, run_campaign, run_campaign_with, CampaignOptions, CampaignRun, CellBudget,
+    FailureKind, ScenarioMatrix,
 };
 
-/// Fingerprint → `Debug`-rendered rows of a materialized run.
-fn materialized_rows(matrix: &ScenarioMatrix) -> BTreeMap<(u64, u64), String> {
-    let run = run_matrix(matrix, &MatrixOptions::default());
-    run.cells
-        .iter()
-        .map(|c| (c.fingerprint, format!("{:?}", c.rows)))
-        .collect()
+/// A materialized run: every cell kept, in expansion order.
+fn collected(matrix: &ScenarioMatrix, threads: usize) -> CampaignRun {
+    run_campaign(
+        matrix,
+        &CampaignOptions {
+            threads,
+            keep_cells: true,
+            ..CampaignOptions::default()
+        },
+    )
 }
 
 /// Per-fingerprint `(task, bound-or-error)` projection of streamed rows
@@ -89,13 +96,28 @@ fn streaming_rows(matrix: &ScenarioMatrix, opts: &CampaignOptions) -> Streamed {
 #[test]
 fn example_matrix_streaming_equals_materialized() {
     let matrix = parse_matrix(include_str!("../../../scenarios/example.scn")).expect("parses");
-    let materialized = materialized_rows(&matrix);
-    let (streamed, _, _, run) = streaming_rows(&matrix, &CampaignOptions::default());
-    assert_eq!(run.unique, materialized.len());
-    assert_eq!(
-        streamed, materialized,
-        "streaming and materialized runs must agree on every cell"
-    );
+    let materialized = collected(&matrix, 1);
+    let mut streamed = BTreeMap::new();
+    let run = run_campaign_with(&matrix, &CampaignOptions::default(), |cell| {
+        streamed.insert(cell.fingerprint, cell.rows.clone());
+    });
+    assert_eq!(run.unique, materialized.cells.len());
+    assert_eq!(run.duplicates, materialized.duplicates);
+    let names: Vec<String> = materialized
+        .cells
+        .iter()
+        .map(|c| c.scenario.name.clone())
+        .collect();
+    assert_eq!(names, common::lex_first_names(&matrix));
+    for cell in &materialized.cells {
+        assert_eq!(
+            streamed.get(&cell.fingerprint),
+            Some(&cell.rows),
+            "streaming and materialized runs must agree on {}",
+            cell.scenario.name
+        );
+        common::assert_cell_matches_oracle(cell);
+    }
 }
 
 #[test]
@@ -402,6 +424,32 @@ fn budget_starved_cells_fail_alone_without_retries() {
 }
 
 #[test]
+fn an_exhausted_cell_wall_clock_fails_the_cell_as_a_deadline() {
+    let matrix = parse_matrix(MEMO_MATRIX).expect("parses");
+    let run = run_campaign(
+        &matrix,
+        &CampaignOptions {
+            keep_cells: true,
+            budget: CellBudget {
+                max_cell_ms: Some(0),
+                ..CellBudget::default()
+            },
+            ..CampaignOptions::default()
+        },
+    );
+    assert!(run.failures > 0, "a zero wall clock must expire");
+    for failure in run.cells.iter().filter_map(|c| c.failure.as_ref()) {
+        assert_eq!(failure.kind, FailureKind::Deadline, "{}", failure.message);
+        assert_eq!(failure.retries, 0, "deadline exhaustion must never retry");
+        assert!(
+            failure.message.contains("wall-clock"),
+            "{}",
+            failure.message
+        );
+    }
+}
+
+#[test]
 fn zero_deadline_stops_cleanly_and_stays_resumable() {
     let matrix = parse_matrix(MEMO_MATRIX).expect("parses");
     let path = temp_memo("deadline");
@@ -527,9 +575,10 @@ const MEMO_ARBS: [&str; 3] = ["rr", "tdma:12", "wheel:16"];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random matrices with duplicate-inducing axes: streaming dedup +
-    /// analysis must agree with the materialized runner on the
-    /// fingerprint set and on every cell's rows, byte for byte.
+    /// Random matrices with duplicate-inducing axes: runs at one and
+    /// three workers keep the cells a lexicographic expansion keeps, in
+    /// its order, and every row — neighbour-reused or not — equals the
+    /// cold per-cell oracle.
     #[test]
     fn streaming_equals_materialized_on_random_matrices(
         seed in 0u64..500,
@@ -550,26 +599,19 @@ proptest! {
              cycle_limit = {limits}\ntasks = rand:{seed}\n",
         );
         let matrix = parse_matrix(&spec).expect("spec parses");
-        let materialized = run_matrix(&matrix, &MatrixOptions::default());
-        let (_, _, _, streamed) = streaming_rows(
-            &matrix,
-            &CampaignOptions { threads: 3, keep_cells: true, ..CampaignOptions::default() },
-        );
+        let materialized = collected(&matrix, 1);
+        let streamed = collected(&matrix, 3);
         prop_assert_eq!(streamed.unique + streamed.duplicates, matrix.num_cells());
         prop_assert_eq!(streamed.unique, materialized.cells.len());
         prop_assert_eq!(streamed.duplicates, materialized.duplicates);
-
-        let mat_by_fp: BTreeMap<_, _> = materialized
-            .cells
-            .iter()
-            .map(|c| (c.fingerprint, format!("{:?}", c.rows)))
-            .collect();
-        let str_by_fp: BTreeMap<_, _> = streamed
-            .cells
-            .iter()
-            .map(|c| (c.fingerprint, format!("{:?}", c.rows)))
-            .collect();
-        prop_assert_eq!(str_by_fp, mat_by_fp);
+        let names: Vec<String> = streamed.cells.iter().map(|c| c.scenario.name.clone()).collect();
+        prop_assert_eq!(names, common::lex_first_names(&matrix));
+        for (s, m) in streamed.cells.iter().zip(&materialized.cells) {
+            prop_assert_eq!(&s.scenario.name, &m.scenario.name);
+            prop_assert_eq!(s.fingerprint, m.fingerprint);
+            prop_assert_eq!(&s.rows, &m.rows);
+            common::assert_cell_matches_oracle(s);
+        }
     }
 
     /// The disk memo on random matrices: cold, warm, and

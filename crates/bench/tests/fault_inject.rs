@@ -228,6 +228,7 @@ proptest! {
                 // draws *both* faults: the panic triggers the cold
                 // retry, which then runs under the starved budget.
                 Some((FailureKind::Budget, retries)) => prop_assert!(*retries <= 1),
+                Some((FailureKind::Deadline, _)) => prop_assert!(false, "no wall clock is armed"),
             }
         }
 

@@ -3,23 +3,39 @@
 //! 1. the checked-in example matrix expands to ≥ 24 cells, runs through
 //!    the engine + simulator validation, and every cell is sound;
 //! 2. (proptest) random small matrices produce cells that are (a) sound
-//!    whenever validated and (b) byte-identical to running the same
-//!    cells through the per-experiment code paths (`Analyzer` /
-//!    `static_ctrl` direct calls, cold-solved);
+//!    whenever validated, (b) deduplicated like a lexicographic
+//!    expansion, and (c) byte-identical to running the same cells
+//!    through the per-experiment code paths (`Analyzer` / `static_ctrl`
+//!    direct calls, cold-solved — the shared oracle in `common`);
 //! 3. the matrix-ported experiments (E02/E05/E08) reproduce the WCETs of
 //!    their pre-matrix implementations exactly.
 
+mod common;
+
 use proptest::prelude::*;
 use wcet_bench::experiments;
-use wcet_bench::scenario::run::{build_scenario, run_matrix, CellOutcome, MatrixOptions};
-use wcet_bench::scenario::{parse_matrix, ModeSpec};
+use wcet_bench::scenario::{
+    parse_matrix, run_campaign, CampaignOptions, CampaignRun, ScenarioMatrix,
+};
 use wcet_bench::{l2_bound_machine, l2_bound_victim};
-use wcet_core::analyzer::Analyzer;
 use wcet_core::engine::AnalysisEngine;
-use wcet_core::mode::{Footprint, Isolated, JointRefs, Solo};
+use wcet_core::mode::{Footprint, JointRefs};
 use wcet_core::static_ctrl::{wcet_unlocked, StaticParams};
 use wcet_core::IpetOptions;
 use wcet_ir::synth::{matmul, Placement};
+
+/// A materialized run with every cell validated on the simulator.
+fn validated_run(matrix: &ScenarioMatrix) -> CampaignRun {
+    run_campaign(
+        matrix,
+        &CampaignOptions {
+            threads: 1,
+            keep_cells: true,
+            sample_one_in: 1,
+            ..CampaignOptions::default()
+        },
+    )
+}
 
 #[test]
 fn example_matrix_expands_validates_and_is_sound() {
@@ -29,21 +45,14 @@ fn example_matrix_expands_validates_and_is_sound() {
         "the example matrix must expand to at least 24 cells, got {}",
         matrix.num_cells()
     );
-    let run = run_matrix(
-        &matrix,
-        &MatrixOptions {
-            validate: true,
-            ..MatrixOptions::default()
-        },
-    );
-    let (validated, sound) = run.validation_counts();
+    let run = validated_run(&matrix);
     assert_eq!(
-        validated,
+        run.validated,
         run.cells.len(),
         "every example cell must be validated"
     );
-    assert_eq!(sound, validated, "every example cell must be sound");
-    assert!(run.soundness_violations().is_empty());
+    assert_eq!(run.sound, run.validated, "every example cell must be sound");
+    assert!(run.violations.is_empty());
     // The sweep's objective-only neighbours actually warm-started.
     assert!(run.solver.warm_hits > 0);
 }
@@ -57,13 +66,7 @@ fn solo_mode_breaks_under_sharing_through_the_matrix() {
     let spec = "name = unsafe-solo\ncores = 4\nmem_latency = 8\nmode = solo\n\
                 tasks = \"chase:4096x400x32 chase:4096x4000x32 chase:4096x4000x32 \
                 chase:4096x4000x32\"\n";
-    let run = run_matrix(
-        &parse_matrix(spec).expect("parses"),
-        &MatrixOptions {
-            validate: true,
-            ..MatrixOptions::default()
-        },
-    );
+    let run = validated_run(&parse_matrix(spec).expect("parses"));
     let cell = &run.cells[0];
     let v = cell.validation.as_ref().expect("validated");
     assert!(
@@ -72,40 +75,7 @@ fn solo_mode_breaks_under_sharing_through_the_matrix() {
         v.observations[0]
     );
     assert!(!v.all_sound);
-    assert!(run.soundness_violations().is_empty());
-}
-
-/// Recomputes one cell row through the pre-matrix per-experiment code
-/// path: a fresh sequential `Analyzer` (or a cold `static_ctrl` solve).
-fn direct_row_wcet(
-    cell: &CellOutcome,
-    built: &wcet_bench::scenario::run::BuiltScenario,
-    i: usize,
-) -> Result<wcet_core::WcetReport, String> {
-    let an = Analyzer::new(built.machine.clone());
-    let p = &built.programs[i];
-    let (core, thread) = built.placement[i];
-    match cell.scenario.mode {
-        ModeSpec::Solo => an.wcet_with(p, core, thread, &Solo),
-        ModeSpec::Isolated => an.wcet_with(p, core, thread, &Isolated),
-        ModeSpec::Joint => {
-            let fps: Vec<Option<Footprint>> = built
-                .programs
-                .iter()
-                .zip(&built.placement)
-                .map(|(q, &(c, _))| an.l2_footprint(q, c).ok())
-                .collect();
-            let refs: Vec<&Footprint> = fps
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .filter_map(|(_, fp)| fp.as_ref())
-                .collect();
-            an.wcet_with(p, core, thread, &JointRefs(&refs))
-        }
-        _ => unreachable!("static-ctrl rows are compared by bound"),
-    }
-    .map_err(|e| e.to_string())
+    assert!(run.violations.is_empty());
 }
 
 const ARBS: [&str; 3] = ["rr", "tdma:10", "wheel:8"];
@@ -139,12 +109,11 @@ proptest! {
             ARBS[arb], L2S[l2a], L2S[l2b],
         );
         let matrix = parse_matrix(&spec).expect("spec parses");
-        let run = run_matrix(&matrix, &MatrixOptions { validate: true, ..MatrixOptions::default() });
+        let run = validated_run(&matrix);
         prop_assert!(run.cells.len() + run.duplicates == matrix.num_cells());
+        let names: Vec<String> = run.cells.iter().map(|c| c.scenario.name.clone()).collect();
+        prop_assert_eq!(names, common::lex_first_names(&matrix));
         for cell in &run.cells {
-            if cell.error.is_some() {
-                continue;
-            }
             // (a) Soundness of every validated cell (no multi-task solo
             // here by construction).
             if let Some(v) = &cell.validation {
@@ -155,45 +124,8 @@ proptest! {
                     v.observations
                 );
             }
-            // (b) Byte-identity with the per-experiment code paths.
-            let built = build_scenario(&cell.scenario).expect("rebuilds");
-            for (i, row) in cell.rows.iter().enumerate() {
-                if cell.scenario.mode == ModeSpec::StaticCtrl {
-                    let direct = StaticParams::from_machine(
-                        &built.machine,
-                        row.core,
-                        row.thread,
-                    )
-                    .and_then(|params| {
-                        wcet_unlocked(&built.programs[i], &params, &IpetOptions::default())
-                    })
-                    .map_err(|e| e.to_string());
-                    prop_assert_eq!(
-                        row.outcome.as_ref().map(|b| b.wcet).map_err(Clone::clone),
-                        direct,
-                        "static row {} diverged",
-                        i
-                    );
-                } else {
-                    match (&row.outcome, direct_row_wcet(cell, &built, i)) {
-                        (Ok(bound), Ok(direct)) => {
-                            prop_assert_eq!(bound.wcet, direct.wcet);
-                            prop_assert_eq!(
-                                bound.report.as_ref().expect("engine rows carry reports"),
-                                &direct
-                            );
-                        }
-                        (Err(e), Err(d)) => prop_assert_eq!(e, &d),
-                        (got, want) => prop_assert!(
-                            false,
-                            "row {} diverged: {:?} vs {:?}",
-                            i,
-                            got,
-                            want
-                        ),
-                    }
-                }
-            }
+            // (c) Byte-identity with the per-experiment code paths.
+            common::assert_cell_matches_oracle(cell);
         }
     }
 }

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use wcet_bench::json::Json;
-use wcet_bench::scenario::{parse_matrix, run_matrix, MatrixOptions};
+use wcet_bench::scenario::{parse_matrix, run_campaign, CampaignOptions};
 use wcet_serve::{CellBounds, Client, Response, ServerConfig};
 
 /// Total submissions: 1 cold + 5 hot.
@@ -25,7 +25,14 @@ const REQUESTS: usize = 6;
 fn main() -> ExitCode {
     let spec = include_str!("../../../../scenarios/example.scn");
     let matrix = parse_matrix(spec).expect("example parses");
-    let reference = run_matrix(&matrix, &MatrixOptions::default());
+    let reference = run_campaign(
+        &matrix,
+        &CampaignOptions {
+            threads: 1,
+            keep_cells: true,
+            ..CampaignOptions::default()
+        },
+    );
     let expected: Vec<CellBounds> = reference.cells.iter().map(CellBounds::of).collect();
 
     let handle = wcet_serve::start(&ServerConfig::default()).expect("server starts");

@@ -35,12 +35,13 @@
 //!
 //! ## Streaming campaigns
 //!
-//! Large matrices (or any invocation carrying a streaming flag) run
-//! through the streaming campaign pipeline instead of the materialized
-//! runner: cells are expanded lazily, analysed by work-stealing workers
-//! with neighbour-incremental reuse, and their report rows are printed
-//! *as they complete* (in deterministic order) rather than after the
-//! whole run:
+//! Every invocation runs the one scenario runner. A small matrix is
+//! collected on one worker and reported as a whole (the cell table and
+//! `matrix_json`); large matrices (or any invocation carrying a
+//! streaming flag) stream instead: cells are analysed by work-stealing
+//! workers with neighbour-incremental reuse, and their report rows are
+//! printed *as they complete* (in deterministic order) rather than after
+//! the whole run:
 //!
 //! ```text
 //! wcet scenarios run scenarios/campaign.scn --limit 2000 --threads 4
@@ -63,7 +64,8 @@
 //! * `--budget-pivots N` / `--budget-evals N` / `--budget-cell-ms N` —
 //!   per-cell resource budgets (simplex pivots, fixpoint evaluations,
 //!   wall clock): a cell that exhausts one fails alone, as a
-//!   `failed(budget, …)` row, instead of stalling its worker;
+//!   `failed(budget, …)` row (`failed(deadline, …)` for the wall
+//!   clock), instead of stalling its worker;
 //! * `--strict` — escalate failed cells and a fired deadline to a hard
 //!   error (exit 1).
 //!
@@ -98,8 +100,8 @@ use std::time::Duration;
 
 use wcet_bench::load::load_json;
 use wcet_bench::scenario::{
-    campaign_json, campaign_markdown, matrix_json, matrix_markdown, parse_matrix,
-    run_campaign_with, run_matrix, CampaignOptions, CellBudget, MatrixOptions,
+    campaign_json, campaign_markdown, matrix_json, matrix_markdown, parse_matrix, run_campaign,
+    run_campaign_with, CampaignOptions, CellBudget,
 };
 use wcet_core::report::Table;
 use wcet_serve::{
@@ -325,11 +327,13 @@ fn main() -> ExitCode {
         return run_streaming(&args, &matrix, validate);
     }
 
-    let run = run_matrix(
+    let run = run_campaign(
         &matrix,
-        &MatrixOptions {
-            validate,
-            ..MatrixOptions::default()
+        &CampaignOptions {
+            threads: 1,
+            keep_cells: true,
+            sample_one_in: u64::from(validate),
+            ..CampaignOptions::default()
         },
     );
     println!("{}", matrix_markdown(&run));
@@ -360,16 +364,11 @@ fn main() -> ExitCode {
         eprintln!("no cell produced a WCET bound — every cell failed to build or analyse");
         failed = true;
     }
-    let violations = run.soundness_violations();
-    if validate && !violations.is_empty() {
+    if validate && !run.violations.is_empty() {
         eprintln!(
             "soundness violations in {} cell(s): {}",
-            violations.len(),
-            violations
-                .iter()
-                .map(|c| c.scenario.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
+            run.violations.len(),
+            run.violations.join(", ")
         );
         failed = true;
     }
@@ -397,8 +396,6 @@ fn run_streaming(
         },
         seed: args.seed,
         cache: args.cache.as_ref().map(PathBuf::from),
-        keep_cells: false,
-        ctx: None,
         budget: CellBudget {
             max_pivots: args.budget_pivots,
             max_fixpoint_evals: args.budget_evals,
@@ -406,7 +403,7 @@ fn run_streaming(
         },
         deadline: args.deadline_ms.map(std::time::Duration::from_millis),
         resume: args.resume,
-        fault: None,
+        ..CampaignOptions::default()
     };
     println!(
         "streaming campaign `{}`: {} cross-product cells{}",

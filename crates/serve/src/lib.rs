@@ -10,17 +10,19 @@
 //! CRC-checkpointed disk memo, so a restarted server comes back warm.
 //!
 //! The load-bearing property is *equivalence*: served bounds are
-//! byte-identical to what the in-process matrix runner produces,
-//! because submissions route through the same `run_matrix` entry point
-//! with shared state — pinned by the differential battery in
+//! byte-identical to what the in-process scenario runner produces,
+//! because each submission is a one-worker run of that same runner
+//! (`wcet_bench::scenario::run_campaign`, on the serving thread) with
+//! the shared state passed in — pinned by the differential battery in
 //! `tests/serve_equivalence.rs`.
 //!
 //! Overload is part of the contract, not an afterthought: admission
 //! control sheds over-capacity connections with a typed, retryable
-//! [`ErrorKind::Overloaded`] frame, per-request schema-2 limits arm
-//! cooperative budgets around each submission, the [`client`] retries
-//! with seeded backoff, and the open-system [`load`] harness proves the
-//! whole loop degrades gracefully (see `tests/serve_overload.rs`).
+//! [`ErrorKind::Overloaded`] frame, per-request schema-2 limits become
+//! the runner's per-cell budgets plus a run deadline, the [`client`]
+//! retries with seeded backoff, and the open-system [`load`] harness
+//! proves the whole loop degrades gracefully (see
+//! `tests/serve_overload.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

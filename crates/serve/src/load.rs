@@ -7,16 +7,18 @@
 //! Determinism contract: the request *sequence* (which scenario each
 //! request submits) and every request's *bounds* are functions of the
 //! seed alone — the harness asserts each served bound byte-identical to
-//! an in-process [`run_matrix`] reference. Latency percentiles and
+//! an in-process [`run_campaign`] reference. Latency percentiles and
 //! shed/retry *counts* depend on machine timing and are reported, not
-//! pinned.
+//! pinned. Latency runs from each request's *scheduled* send time, so a
+//! connection that falls behind its Poisson schedule reports the
+//! queueing delay it accumulated instead of hiding it.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use wcet_bench::load::{poisson_offsets_ns, scenario_pool, zipf_picks, LoadStats, Log2Histogram};
-use wcet_bench::scenario::{parse_matrix, run_matrix, MatrixOptions};
+use wcet_bench::scenario::{parse_matrix, run_campaign, CampaignOptions};
 
 use crate::client::{request_with_retry, Retry};
 use crate::proto::{CellBounds, ErrorKind, Request, RequestLimits, Response, ServeError};
@@ -98,12 +100,17 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
 
     // In-process reference bounds, one run per pool entry actually hit.
     // Computed before the clock starts; fresh state per run, so the
-    // reference is exactly what a cold `run_matrix` would say.
+    // reference is exactly what a cold run of the scenario runner says.
+    let reference_opts = CampaignOptions {
+        threads: 1,
+        keep_cells: true,
+        ..CampaignOptions::default()
+    };
     let mut references: Vec<Option<Vec<CellBounds>>> = vec![None; pool.len()];
     for &pick in &picks {
         if references[pick].is_none() {
             let matrix = parse_matrix(&pool[pick]).expect("pool spec parses");
-            let run = run_matrix(&matrix, &MatrixOptions::default());
+            let run = run_campaign(&matrix, &reference_opts);
             references[pick] = Some(run.cells.iter().map(CellBounds::of).collect());
         }
     }
@@ -142,10 +149,14 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
                             tally.failed += 1;
                             continue;
                         }
-                        let due = Duration::from_nanos(offset_ns);
-                        let elapsed = started.elapsed();
-                        if due > elapsed {
-                            std::thread::sleep(due - elapsed);
+                        // Latency counts from the scheduled send: a
+                        // connection behind schedule skips the sleep,
+                        // and its lateness is queueing delay the
+                        // request saw.
+                        let scheduled = started + Duration::from_nanos(offset_ns);
+                        let now = Instant::now();
+                        if scheduled > now {
+                            std::thread::sleep(scheduled - now);
                         }
                         let pick = picks[request_index];
                         let request = Request::SubmitScenario {
@@ -157,7 +168,6 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
                             seed: config.seed ^ (request_index as u64).wrapping_mul(0x9e37),
                             ..Retry::default()
                         };
-                        let sent = Instant::now();
                         match request_with_retry(config.addr, &request, &policy) {
                             Ok((response, retry_stats)) => {
                                 tally.retries += retry_stats.retries;
@@ -166,7 +176,7 @@ pub fn run_load(config: &LoadConfig) -> LoadStats {
                                 match response {
                                     Response::Bounds(b) => {
                                         tally.histogram.record_ns(
-                                            u64::try_from(sent.elapsed().as_nanos())
+                                            u64::try_from(scheduled.elapsed().as_nanos())
                                                 .unwrap_or(u64::MAX),
                                         );
                                         tally.completed += 1;

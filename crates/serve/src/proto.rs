@@ -31,19 +31,21 @@ fn schema_gate(doc: &Json, who: &str) -> Result<u64, String> {
     Ok(schema)
 }
 
-/// Optional per-request resource limits (schema 2). The server arms the
-/// cooperative `BudgetScope`s around the supervised submission, so an
-/// oversized or poisoned request unwinds with a typed
+/// Optional per-request resource limits (schema 2). The server hands
+/// them to the scenario runner as per-cell budgets plus a run deadline,
+/// so an oversized or poisoned request stops with a typed
 /// [`ErrorKind::Budget`] / [`ErrorKind::Deadline`] error instead of
 /// pinning a worker. All-`None` limits travel as schema 1 — nothing is
 /// emitted on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestLimits {
-    /// Wall-clock deadline for the whole submission, milliseconds.
+    /// Wall-clock limit, milliseconds: each cell's analysis gets at most
+    /// this long, and the run hands out no new chunk of cells once it
+    /// has elapsed since the submission started.
     pub deadline_ms: Option<u64>,
-    /// Simplex pivot budget across the submission's IPET solves.
+    /// Simplex pivot budget of each cell, across its IPET solves.
     pub budget_pivots: Option<u64>,
-    /// Worklist block-evaluation budget across the submission's
+    /// Worklist block-evaluation budget of each cell, across its
     /// fixpoint runs.
     pub budget_evals: Option<u64>,
 }
@@ -175,12 +177,13 @@ impl Request {
     }
 }
 
-/// What class of failure an error response reports. `Panic` and `Budget`
-/// mirror the campaign runner's [`FailureKind`] ladder; `Protocol` covers
-/// everything wrong with the request itself; `Deadline` and `Overloaded`
-/// are the schema-2 overload ladder — both are *recoverable*: the request
-/// was refused or cut short, the server is healthy, and a retry (after
-/// `retry_after_ms`, for `Overloaded`) is the correct client response.
+/// What class of failure an error response reports. `Panic`, `Budget`
+/// and `Deadline` mirror the scenario runner's [`FailureKind`] ladder;
+/// `Protocol` covers everything wrong with the request itself;
+/// `Deadline` and `Overloaded` are the schema-2 overload ladder — both
+/// are *recoverable*: the request was refused or cut short, the server
+/// is healthy, and a retry (after `retry_after_ms`, for `Overloaded`) is
+/// the correct client response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// The request was malformed: bad frame, bad JSON, bad schema, bad
@@ -190,7 +193,7 @@ pub enum ErrorKind {
     Panic,
     /// The analysis exhausted a resource budget.
     Budget,
-    /// The analysis exhausted its per-request wall-clock deadline
+    /// The analysis exhausted its per-request wall-clock limit
     /// (schema 2).
     Deadline,
     /// The server refused admission: its pending queue and in-flight
@@ -207,6 +210,7 @@ impl From<FailureKind> for ErrorKind {
         match kind {
             FailureKind::Panic => ErrorKind::Panic,
             FailureKind::Budget => ErrorKind::Budget,
+            FailureKind::Deadline => ErrorKind::Deadline,
         }
     }
 }
@@ -917,6 +921,7 @@ mod tests {
     fn error_kinds_mirror_the_failure_ladder() {
         assert_eq!(ErrorKind::from(FailureKind::Panic), ErrorKind::Panic);
         assert_eq!(ErrorKind::from(FailureKind::Budget), ErrorKind::Budget);
+        assert_eq!(ErrorKind::from(FailureKind::Deadline), ErrorKind::Deadline);
         for kind in [
             ErrorKind::Protocol,
             ErrorKind::Panic,

@@ -5,15 +5,19 @@
 //!
 //! Sharing is the whole point of serving: the first request pays for
 //! cache fixpoints and simplex bases, every later request that overlaps
-//! semantically rides the hot tables. Because every memo key is
-//! deterministic and machine-independent, serving changes *when* work
-//! happens, never *what* a bound is — the differential test battery in
-//! `tests/serve_equivalence.rs` pins that claim against the in-process
-//! runner.
+//! semantically rides the hot tables. Each submission is a one-worker
+//! run of the scenario runner on the serving thread itself, with the
+//! shared context, memo and disk memo passed in — so a served matrix
+//! gets the runner's per-cell supervision and neighbour reuse. Because
+//! every memo key is deterministic and machine-independent, serving
+//! changes *when* work happens, never *what* a bound is — the
+//! differential test battery in `tests/serve_equivalence.rs` pins that
+//! claim against the in-process runner.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -21,7 +25,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wcet_bench::scenario::{
-    parse_matrix, run_matrix, run_supervised, CachedRow, DiskCache, MatrixOptions, MatrixRun,
+    parse_matrix, run_campaign, CachedRow, CampaignOptions, CampaignRun, CellBudget, DiskCache,
+    FailureKind,
 };
 use wcet_core::{MemoDomain, SolveContext};
 
@@ -458,29 +463,38 @@ fn submit(
     let ctx_before = state.ctx.stats();
     let pivots_before = state.ctx.totals().pivots;
 
-    let opts = MatrixOptions {
-        validate: false,
+    // One worker — this thread — and every cell kept in expansion
+    // order. The request's limits become the runner's per-cell budgets
+    // plus its run deadline, so a runaway cell unwinds at the cell
+    // boundary with a typed failure instead of pinning this worker.
+    let opts = CampaignOptions {
+        threads: 1,
+        keep_cells: true,
         ctx: Some(Arc::clone(&state.ctx)),
         memo: Some(Arc::clone(&state.memo)),
         disk: state.disk.clone(),
+        budget: CellBudget {
+            max_pivots: limits.budget_pivots,
+            max_fixpoint_evals: limits.budget_evals,
+            max_cell_ms: limits.deadline_ms,
+        },
+        deadline: limits.deadline_ms.map(Duration::from_millis),
+        ..CampaignOptions::default()
     };
-    // The engine is panic-clean in normal operation, but a server must
-    // not die for one poisoned request — and must not let one pin a
-    // worker: the request's limits arm the cooperative budget scopes
-    // (simplex pivots, fixpoint evaluations, wall clock) on this thread
-    // before the supervised run, so exhaustion unwinds here with a
-    // typed payload instead of running forever.
-    let deadline = limits
-        .deadline_ms
-        .map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
-    let run = match run_supervised(|| {
-        let _pivots = wcet_ilp::budget::BudgetScope::arm(limits.budget_pivots, deadline);
-        let _evals = wcet_ir::budget::BudgetScope::arm(limits.budget_evals, deadline);
-        run_matrix(&matrix, &opts)
-    }) {
+    // The runner supervises every cell; this guard only keeps a panic
+    // outside any cell from killing the serving thread.
+    let run = match catch_unwind(AssertUnwindSafe(|| run_campaign(&matrix, &opts))) {
         Ok(run) => run,
-        Err(payload) => return Response::Error(classify_abort(state, payload.as_ref())),
+        Err(payload) => {
+            return Response::Error(ServeError {
+                kind: ErrorKind::Panic,
+                message: panic_message(payload.as_ref()),
+            })
+        }
     };
+    if let Some(error) = aborted(state, &run, limits) {
+        return Response::Error(error);
+    }
 
     remember_bounded(state, &run);
     state
@@ -510,11 +524,49 @@ fn submit(
     })
 }
 
+/// The typed error of a submission the runner could not finish: the
+/// first failed cell's class (a counted budget, a wall clock, or a
+/// panic), or the run deadline. Budget and deadline aborts are counted
+/// in the server's stats.
+fn aborted(state: &ServeState, run: &CampaignRun, limits: RequestLimits) -> Option<ServeError> {
+    let failed = run
+        .cells
+        .iter()
+        .find_map(|c| c.failure.as_ref().map(|f| (c, f)));
+    let (kind, message) = match failed {
+        Some((cell, f)) => (
+            f.kind,
+            format!("request aborted at {}: {}", cell.scenario.name, f.message),
+        ),
+        None if run.deadline_hit => (
+            FailureKind::Deadline,
+            format!(
+                "request aborted: over its {} ms wall-clock deadline",
+                limits.deadline_ms.unwrap_or_default()
+            ),
+        ),
+        None => return None,
+    };
+    match kind {
+        FailureKind::Budget => {
+            state.budget_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        FailureKind::Deadline => {
+            state.deadline_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        FailureKind::Panic => {}
+    }
+    Some(ServeError {
+        kind: kind.into(),
+        message,
+    })
+}
+
 /// Buffers every fully-bounded cell for the shutdown flush. Cells the
 /// disk memo already answered round-trip through here too — the append
 /// path skips fingerprints that are already durable, so this only costs
 /// a map insert.
-fn remember_bounded(state: &Arc<ServeState>, run: &MatrixRun) {
+fn remember_bounded(state: &Arc<ServeState>, run: &CampaignRun) {
     let Ok(mut pending) = state.pending.lock() else {
         return;
     };
@@ -533,45 +585,6 @@ fn remember_bounded(state: &Arc<ServeState>, run: &MatrixRun) {
             })
             .collect();
         pending.insert(cell.fingerprint, rows);
-    }
-}
-
-/// Maps a supervised unwind payload onto the wire error ladder: a
-/// wall-clock [`BudgetExceeded`](wcet_ilp::budget::BudgetExceeded) is
-/// [`ErrorKind::Deadline`], any other exhausted budget is
-/// [`ErrorKind::Budget`], everything else is a genuine
-/// [`ErrorKind::Panic`].
-fn classify_abort(state: &ServeState, payload: &(dyn std::any::Any + Send)) -> ServeError {
-    let budget: Option<(&'static str, u64)> = payload
-        .downcast_ref::<wcet_ilp::budget::BudgetExceeded>()
-        .map(|b| (b.resource, b.limit))
-        .or_else(|| {
-            payload
-                .downcast_ref::<wcet_ir::budget::BudgetExceeded>()
-                .map(|b| (b.resource, b.limit))
-        });
-    match budget {
-        Some((resource, limit)) => {
-            let wall_clock = resource.contains("wall-clock");
-            let counter = if wall_clock {
-                &state.deadline_errors
-            } else {
-                &state.budget_errors
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            ServeError {
-                kind: if wall_clock {
-                    ErrorKind::Deadline
-                } else {
-                    ErrorKind::Budget
-                },
-                message: format!("request aborted: over {limit} {resource}"),
-            }
-        }
-        None => ServeError {
-            kind: ErrorKind::Panic,
-            message: panic_message(payload),
-        },
     }
 }
 

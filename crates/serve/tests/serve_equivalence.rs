@@ -2,14 +2,14 @@
 //! byte-identical to the in-process matrix runner.
 //!
 //! 1. every cell of the checked-in example matrix, submitted through a
-//!    live server, answers exactly what a cold `run_matrix` computes —
+//!    live server, answers exactly what a cold in-process run computes —
 //!    same cells, same fingerprints, same per-task bounds;
 //! 2. resubmitting rides the hot memo: hit counters strictly increase
 //!    and the bounds do not move;
 //! 3. (proptest) the same identity holds on random small matrices.
 
 use proptest::prelude::*;
-use wcet_bench::scenario::{parse_matrix, run_matrix, MatrixOptions};
+use wcet_bench::scenario::{parse_matrix, run_campaign, CampaignOptions};
 use wcet_serve::{CellBounds, Client, Response, ServerConfig};
 
 const EXAMPLE: &str = include_str!("../../../scenarios/example.scn");
@@ -17,7 +17,14 @@ const EXAMPLE: &str = include_str!("../../../scenarios/example.scn");
 /// What the in-process runner would put on the wire for this spec.
 fn in_process_cells(spec: &str) -> (Vec<CellBounds>, usize) {
     let matrix = parse_matrix(spec).expect("spec parses");
-    let run = run_matrix(&matrix, &MatrixOptions::default());
+    let run = run_campaign(
+        &matrix,
+        &CampaignOptions {
+            threads: 1,
+            keep_cells: true,
+            ..CampaignOptions::default()
+        },
+    );
     (
         run.cells.iter().map(CellBounds::of).collect(),
         run.duplicates,

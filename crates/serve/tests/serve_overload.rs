@@ -14,7 +14,7 @@ use std::net::TcpStream;
 
 use proptest::prelude::*;
 use wcet_bench::load::scenario_pool;
-use wcet_bench::scenario::{parse_matrix, run_matrix, MatrixOptions};
+use wcet_bench::scenario::{parse_matrix, run_campaign, CampaignOptions};
 use wcet_serve::{
     read_frame, request_with_retry, CellBounds, Client, ErrorKind, Request, RequestLimits,
     Response, Retry, ServeError, ServerConfig,
@@ -45,7 +45,14 @@ fn admitted_client(addr: std::net::SocketAddr) -> Client {
 /// What the in-process runner would put on the wire for this spec.
 fn in_process_cells(spec: &str) -> Vec<CellBounds> {
     let matrix = parse_matrix(spec).expect("spec parses");
-    let run = run_matrix(&matrix, &MatrixOptions::default());
+    let run = run_campaign(
+        &matrix,
+        &CampaignOptions {
+            threads: 1,
+            keep_cells: true,
+            ..CampaignOptions::default()
+        },
+    );
     run.cells.iter().map(CellBounds::of).collect()
 }
 
