@@ -101,19 +101,26 @@ impl Json {
     ///
     /// Returns a position-annotated message on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
     }
 }
 
+/// A cursor over the input. `pos` only ever advances over ASCII bytes
+/// or over whole runs that end before one, so it always sits on a char
+/// boundary of `text`.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -270,12 +277,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a
+                    // char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -396,6 +406,32 @@ mod tests {
         ]);
         let parsed = Json::parse(&v.to_string()).expect("parses");
         assert_eq!(parsed, v);
+    }
+
+    #[test]
+    fn multi_byte_text_next_to_escapes() {
+        for text in [
+            "é\"ü",
+            "\\é\\",
+            "日本\n語",
+            "\u{1f600}\t",
+            "é",
+            "",
+            "\\",
+            "a\u{7}é",
+        ] {
+            let rendered = Json::str(text).to_string();
+            assert_eq!(Json::parse(&rendered), Ok(Json::str(text)), "{rendered}");
+        }
+        assert_eq!(Json::parse(r#""\u00e9é\"ü""#), Ok(Json::str("éé\"ü")));
+        assert!(
+            Json::parse("\"é\\").is_err(),
+            "unterminated after an escape"
+        );
+        assert!(
+            Json::parse("\"日本").is_err(),
+            "unterminated after multi-byte text"
+        );
     }
 
     #[test]

@@ -19,15 +19,16 @@
 //! Robustness rules, in order:
 //!
 //! * missing file → empty cache (a cold run);
-//! * unreadable / wrong `kind` / newer or older `schema` header → the
+//! * unreadable file / wrong `kind` / newer or older `schema` header → the
 //!   whole file is ignored and the first write-back replaces it
 //!   *atomically* (header to a tmp file, then rename — a schema bump or
 //!   a crash mid-rewrite never poisons results, it just recomputes);
 //! * an unparseable *line* → that line alone is skipped and counted in
 //!   [`DiskCache::skipped`] (a torn append, e.g. from a killed process,
-//!   costs one entry, not the cache); a torn line that lost its newline
-//!   is additionally sealed with one before the first fresh append, so
-//!   the remnant never splices into a new entry;
+//!   or a damaged byte that is not UTF-8 costs one entry, not the
+//!   cache); a torn line that lost its newline is additionally sealed
+//!   with one before the first fresh append, so the remnant never
+//!   splices into a new entry;
 //! * a parseable line whose CRC mismatches → rejected and counted in
 //!   [`DiskCache::crc_rejected`] (silent single-bit corruption is
 //!   observable, not served);
@@ -128,13 +129,15 @@ impl DiskCache {
             path: Some(path.to_path_buf()),
             ..DiskCache::default()
         };
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok(bytes) = std::fs::read(path) else {
             return cache; // missing or unreadable: cold
         };
-        let mut lines = text.lines();
+        // Lines are checked for UTF-8 one at a time, so a damaged byte
+        // costs its own line only.
+        let mut lines = byte_lines(&bytes).map(std::str::from_utf8);
         let header_ok = lines
             .next()
-            .and_then(|l| Json::parse(l).ok())
+            .and_then(|l| Json::parse(l.ok()?).ok())
             .is_some_and(|h| {
                 h.get("kind").and_then(Json::as_str) == Some(CACHE_KIND)
                     && h.get("schema").and_then(Json::as_u64) == Some(CACHE_SCHEMA)
@@ -144,6 +147,10 @@ impl DiskCache {
         }
         let mut entry_lines = 0usize;
         for line in lines {
+            let Ok(line) = line else {
+                cache.skipped += 1;
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }
@@ -298,6 +305,17 @@ impl DiskCache {
             let _ = std::fs::write(path, &bytes);
         }
     }
+}
+
+/// Splits `bytes` into lines by [`str::lines`]' rules: at `\n`, dropping
+/// a `\r` right before it, with the final line ending optional.
+fn byte_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(|line| match line.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => line,
+        })
 }
 
 /// Opens (and if needed atomically initializes) the append handle.
@@ -567,6 +585,45 @@ mod tests {
         assert_eq!(warm.len(), 1);
         assert_eq!(warm.skipped, 2);
         assert!(warm.lookup((1, 2)).is_some());
+    }
+
+    #[test]
+    fn a_non_utf8_byte_costs_one_entry() {
+        let dir = std::env::temp_dir().join("wcet-cache-test-utf8");
+        let path = dir.join("memo.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let fresh: Vec<_> = (0..100u64).map(|i| ((i, i), vec![row("fir", i)])).collect();
+        DiskCache::open(&path).append(&fresh).expect("writes");
+        // Flip the high bit of a digit inside the 50th entry's payload.
+        let mut bytes = std::fs::read(&path).expect("reads");
+        let line = entry_line((49, 49), &[row("fir", 49)]);
+        let at = bytes
+            .windows(line.len())
+            .position(|w| w == line.as_bytes())
+            .expect("entry on disk")
+            + line.rfind("49").expect("wcet digits");
+        bytes[at] |= 0x80;
+        std::fs::write(&path, bytes).expect("writes");
+
+        let damaged = DiskCache::open(&path);
+        assert_eq!(damaged.len(), 99);
+        assert_eq!(damaged.skipped, 1);
+        assert_eq!(damaged.lookup((49, 49)), None);
+        damaged
+            .append(&[((100, 100), vec![row("crc", 7)])])
+            .expect("appends");
+        let reopened = DiskCache::open(&path);
+        assert_eq!(reopened.len(), 100, "later appends keep the rest");
+        assert_eq!(reopened.skipped, 1);
+    }
+
+    #[test]
+    fn lines_split_like_str_lines() {
+        for text in ["a\nb", "a\r\nb\n", "\n\na\r", "", "x\ry\r\n"] {
+            let split: Vec<&[u8]> = byte_lines(text.as_bytes()).collect();
+            let expected: Vec<&[u8]> = text.lines().map(str::as_bytes).collect();
+            assert_eq!(split, expected, "{text:?}");
+        }
     }
 
     #[test]

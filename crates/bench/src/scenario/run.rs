@@ -13,13 +13,13 @@ use wcet_cache::bypass::single_usage_lines;
 use wcet_cache::lock::select_static;
 use wcet_cache::partition::PartitionPlan;
 use wcet_core::engine::{AnalysisEngine, TaskArtifacts};
-use wcet_core::fingerprint::debug_fingerprint;
 use wcet_core::mode::{Footprint, Isolated, JointRefs, Solo};
 use wcet_core::static_ctrl::{
     wcet_dynamic_lock_ctx, wcet_static_lock_ctx, wcet_unlocked_ctx, StaticParams,
 };
 use wcet_core::validate::{observe_all, Observation};
 use wcet_core::{IpetOptions, SolveContext, WcetReport};
+use wcet_ir::fingerprint::{debug_fingerprint, TupleFingerprint};
 use wcet_ir::fixpoint::FixpointSink;
 use wcet_ir::synth::{parse_kernel, Placement};
 use wcet_ir::Program;
@@ -255,24 +255,33 @@ pub(crate) fn build_with_programs(
     })
 }
 
-/// The deduplication fingerprint of a buildable cell: machine
-/// description, placement, mode label (the label carries the mode
-/// parameters), analysed-task selection, per-task content fingerprints
-/// (supplied by the caller, which caches them per task-set axis value)
-/// and the validation budget.
-pub(crate) fn fingerprint_built(
+/// The leading fields of a buildable cell's deduplication fingerprint,
+/// hashed once per build: the machine description and the placement.
+/// [`cell_fingerprint`] completes it per cell.
+pub(crate) fn build_fingerprint_prefix(built: &BuiltScenario) -> TupleFingerprint {
+    TupleFingerprint::new()
+        .field(&built.machine)
+        .field(&built.placement)
+}
+
+/// The deduplication fingerprint of a buildable cell:
+/// `debug_fingerprint(&(&machine, &placement, mode label, analyze,
+/// task_fps, cycle_limit))`, computed from its build's
+/// [`build_fingerprint_prefix`]. The mode label carries the mode
+/// parameters; the per-task content fingerprints are supplied by the
+/// caller, which caches them per task-set axis value.
+pub(crate) fn cell_fingerprint(
+    prefix: &TupleFingerprint,
     scn: &Scenario,
-    built: &BuiltScenario,
     task_fps: &[(u64, u64)],
 ) -> (u64, u64) {
-    debug_fingerprint(&(
-        &built.machine,
-        &built.placement,
-        scn.mode.label(),
-        scn.analyze,
-        task_fps,
-        scn.cycle_limit,
-    ))
+    prefix
+        .clone()
+        .field(&scn.mode.label())
+        .field(&scn.analyze)
+        .field(task_fps)
+        .field(&scn.cycle_limit)
+        .finish()
 }
 
 /// Unbuildable cells: fingerprint the raw description (sans name).

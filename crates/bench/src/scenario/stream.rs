@@ -13,10 +13,12 @@
 //!   delta the analysis can exploit. Cell *names* still use the
 //!   lexicographic rank ([`ScenarioMatrix::lex_rank`]), the ordinal
 //!   [`ScenarioMatrix::expand`] gives the same cell.
-//! * **Dedup** — the sequential producer fingerprints every cell
-//!   (program fingerprints and builds are cached across the Gray run,
-//!   where only one axis moves at a time) and drops repeats through a
-//!   fingerprint set. Skipped cells fold their changed axes into the
+//! * **Dedup** — the sequential producer fingerprints every cell and
+//!   drops repeats through a fingerprint set. Programs (which carry
+//!   their fingerprints) and builds are cached across the Gray run,
+//!   where only one axis moves at a time; each build keeps its hashed
+//!   `(machine, placement, ` fingerprint prefix, so a cell hashes only
+//!   its short tail. Skipped cells fold their changed axes into the
 //!   next emitted cell's delta, keeping the delta chain honest.
 //! * **Work stealing** — `std::thread::scope` workers pull fixed-size
 //!   chunks from the producer. The calling thread is worker 0, so a
@@ -70,8 +72,8 @@ use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use wcet_core::engine::{AnalysisEngine, MemoDomain, MemoStats, SolverStats};
-use wcet_core::fingerprint::{debug_fingerprint, program_fingerprint};
 use wcet_core::{IpetOptions, SolveContext};
+use wcet_ir::fingerprint::{debug_fingerprint, program_fingerprint, TupleFingerprint};
 use wcet_ir::fixpoint::{FixpointSink, FixpointStats};
 use wcet_ir::Program;
 use wcet_sim::machine::SkipStats;
@@ -79,9 +81,9 @@ use wcet_sim::machine::SkipStats;
 use super::cache::{CachedRow, DiskCache};
 use super::fault::FaultPlan;
 use super::run::{
-    analyze_engine_incremental, analyze_static, build_with_programs, fingerprint_built,
-    fingerprint_unbuildable, parse_programs, validate_cell, BuiltScenario, CellArtifacts,
-    CellFailure, CellOutcome, FailureKind, TaskBound, TaskRow,
+    analyze_engine_incremental, analyze_static, build_fingerprint_prefix, build_with_programs,
+    cell_fingerprint, fingerprint_unbuildable, parse_programs, validate_cell, BuiltScenario,
+    CellArtifacts, CellFailure, CellOutcome, FailureKind, TaskBound, TaskRow,
 };
 use super::spec::{Scenario, ScenarioMatrix, AXES_BUS_ONLY, AXIS_CYCLE_LIMIT, NUM_AXES};
 
@@ -365,9 +367,16 @@ struct ProgramEntry {
     task_fps: Vec<(u64, u64)>,
 }
 
-/// A cached build: the digits of the axes [`build_with_programs`]
-/// reads, the build outcome, and the machine fingerprint.
-type CachedBuild = ([usize; 10], Result<Arc<BuiltScenario>, String>, (u64, u64));
+/// A cached build, keyed by the digits of the axes
+/// [`build_with_programs`] reads.
+struct CachedBuild {
+    sig: [usize; 10],
+    built: Result<Arc<BuiltScenario>, String>,
+    /// `debug_fingerprint` of the machine (zero when unbuildable).
+    machine_fp: (u64, u64),
+    /// The build's hashed [`build_fingerprint_prefix`], when buildable.
+    prefix: Option<TupleFingerprint>,
+}
 
 /// A first-seen cell: its description, build, machine fingerprint and
 /// cell fingerprint.
@@ -463,14 +472,13 @@ impl<'m> Producer<'m> {
     /// the cell, its build, machine fingerprint and cell fingerprint.
     fn visit(&mut self, digits: &[usize; NUM_AXES]) -> Option<Visited> {
         let scenario = self.matrix.cell_at(digits);
-        let (built, machine_fp) = self.build(digits, &scenario);
-        let fingerprint = match &built {
-            Ok(b) => {
-                let entry = self.programs_for(digits[11], &scenario);
-                fingerprint_built(&scenario, b, &entry.task_fps)
-            }
-            Err(_) => fingerprint_unbuildable(&scenario),
+        let entry = self.programs_for(digits[11], &scenario);
+        let build = self.build(digits, &scenario, &entry);
+        let fingerprint = match &build.prefix {
+            Some(prefix) => cell_fingerprint(prefix, &scenario, &entry.task_fps),
+            None => fingerprint_unbuildable(&scenario),
         };
+        let (built, machine_fp) = (build.built.clone(), build.machine_fp);
         if let Some(first) = &mut self.lex_first {
             let matrix = self.matrix;
             first
@@ -490,7 +498,9 @@ impl<'m> Producer<'m> {
     }
 
     /// The parsed programs of a tasks-axis value (`scn` is any cell
-    /// carrying it), parsed and fingerprinted on first use.
+    /// carrying it), parsed and fingerprinted on first use. The
+    /// programs keep their fingerprints, so every build cloned from
+    /// them carries them to the engine.
     fn programs_for(&mut self, tasks_digit: usize, scn: &Scenario) -> Arc<ProgramEntry> {
         Arc::clone(self.programs.entry(tasks_digit).or_insert_with(|| {
             let programs = parse_programs(&scn.tasks);
@@ -502,30 +512,38 @@ impl<'m> Producer<'m> {
         }))
     }
 
+    /// The build of the cell at `digits`: the previous one when only
+    /// axes it does not read moved (most steps: cycle_limit, mode,
+    /// analyze), otherwise a fresh build with its fingerprint prefix.
     fn build(
         &mut self,
         digits: &[usize; NUM_AXES],
         scn: &Scenario,
-    ) -> (Result<Arc<BuiltScenario>, String>, (u64, u64)) {
+        entry: &ProgramEntry,
+    ) -> &CachedBuild {
         let mut sig = [0usize; 10];
         sig[..9].copy_from_slice(&digits[..9]);
         sig[9] = digits[11];
-        if let Some((last_sig, built, fp)) = &self.last_build {
-            if *last_sig == sig {
-                return (built.clone(), *fp);
-            }
+        if self.last_build.as_ref().is_none_or(|b| b.sig != sig) {
+            let built = match &entry.programs {
+                Ok(programs) => build_with_programs(scn, programs.clone()).map(Arc::new),
+                Err(e) => Err(e.clone()),
+            };
+            let (machine_fp, prefix) = match &built {
+                Ok(b) => (
+                    debug_fingerprint(&b.machine),
+                    Some(build_fingerprint_prefix(b)),
+                ),
+                Err(_) => ((0, 0), None),
+            };
+            self.last_build = Some(CachedBuild {
+                sig,
+                built,
+                machine_fp,
+                prefix,
+            });
         }
-        let entry = self.programs_for(digits[11], scn);
-        let built = match &entry.programs {
-            Ok(programs) => build_with_programs(scn, programs.clone()).map(Arc::new),
-            Err(e) => Err(e.clone()),
-        };
-        let machine_fp = built
-            .as_ref()
-            .map(|b| debug_fingerprint(&b.machine))
-            .unwrap_or_default();
-        self.last_build = Some((sig, built.clone(), machine_fp));
-        (built, machine_fp)
+        self.last_build.as_ref().expect("cached above")
     }
 
     /// The next chunk of deduplicated work plus the odometer position

@@ -5,7 +5,9 @@
 //!    (materialized) runs agree cell for cell at any worker count, keep
 //!    exactly the cells a lexicographic expansion keeps, and every row
 //!    (bound, report, error) equals the cold per-cell oracle in
-//!    `common` — including rows served by neighbour reuse;
+//!    `common` — including rows served by neighbour reuse — and every
+//!    streamed fingerprint equals the whole-tuple fingerprint of a
+//!    fresh build;
 //! 2. the per-cell output order is deterministic — independent of the
 //!    worker count — and re-runs byte-identically;
 //! 3. the disk memo round-trips: a warm run serves every bounded cell
@@ -32,11 +34,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use wcet_bench::scenario::cache::{self, CachedRow, Checkpoint, DiskCache};
-use wcet_bench::scenario::run::TaskRow;
+use wcet_bench::scenario::run::{build_scenario, TaskRow};
 use wcet_bench::scenario::{
     parse_matrix, run_campaign, run_campaign_with, CampaignOptions, CampaignRun, CellBudget,
     FailureKind, ScenarioMatrix,
 };
+use wcet_core::{debug_fingerprint, program_fingerprint};
 
 /// A materialized run: every cell kept, in expansion order.
 fn collected(matrix: &ScenarioMatrix, threads: usize) -> CampaignRun {
@@ -118,6 +121,32 @@ fn example_matrix_streaming_equals_materialized() {
         );
         common::assert_cell_matches_oracle(cell);
     }
+}
+
+/// The producer fingerprints a cell from its build's hashed
+/// `(machine, placement, ` prefix and cached program fingerprints; every
+/// streamed value must equal the whole-tuple fingerprint of a fresh
+/// build.
+#[test]
+fn streamed_fingerprints_equal_whole_tuple_recomputation() {
+    let matrix = parse_matrix(include_str!("../../../scenarios/example.scn")).expect("parses");
+    let mut checked = 0;
+    run_campaign_with(&matrix, &CampaignOptions::default(), |cell| {
+        let scn = &cell.scenario;
+        let built = build_scenario(scn).expect("every example cell builds");
+        let task_fps: Vec<(u64, u64)> = built.programs.iter().map(program_fingerprint).collect();
+        let whole = debug_fingerprint(&(
+            &built.machine,
+            &built.placement,
+            scn.mode.label(),
+            scn.analyze,
+            &task_fps,
+            scn.cycle_limit,
+        ));
+        assert_eq!(cell.fingerprint, whole, "{}", scn.name);
+        checked += 1;
+    });
+    assert_eq!(checked, 24);
 }
 
 #[test]

@@ -35,6 +35,7 @@ use wcet_cache::analysis::{AnalysisInput, CacheAnalysis};
 use wcet_cache::config::{CacheConfig, LineAddr};
 use wcet_cache::multilevel::{analyze_hierarchy, HierarchyAnalysis, HierarchyConfig};
 use wcet_ilp::SolveStats;
+use wcet_ir::fingerprint::{debug_fingerprint, program_fingerprint};
 use wcet_ir::fixpoint::FixpointStats;
 use wcet_ir::Program;
 use wcet_pipeline::cost::{block_costs, BlockCosts, CoreMode, CostInput};
@@ -43,7 +44,6 @@ use wcet_sched::TaskSet;
 use wcet_sim::config::MachineConfig;
 
 use crate::analyzer::{build_report, AnalysisError, Analyzer, TaskContext, WcetReport};
-use crate::fingerprint::{debug_fingerprint, program_fingerprint};
 use crate::ipet::{wcet_ipet_ctx, IpetOptions, SolveContext, WcetBound};
 use crate::mode::AnalysisMode;
 

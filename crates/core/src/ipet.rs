@@ -13,10 +13,9 @@ use wcet_ilp::{
     solve_ilp, solve_lp, CmpOp, ContextStats, IlpConfig, IlpError, LinExpr, LpModel, Rat,
     SolveStats, SolveStatus, VarId,
 };
+use wcet_ir::fingerprint::program_fingerprint;
 use wcet_ir::{BlockId, Edge, Program};
 use wcet_pipeline::cost::BlockCosts;
-
-use crate::fingerprint::program_fingerprint;
 
 /// A warm-start cache for the IPET hot path, keyed by program content.
 ///

@@ -43,7 +43,6 @@
 pub mod analyzer;
 pub mod bcet;
 pub mod engine;
-pub mod fingerprint;
 pub mod ipet;
 pub mod mode;
 pub mod report;
@@ -54,9 +53,9 @@ pub mod yieldgraph;
 pub use analyzer::{AnalysisError, Analyzer, TaskContext, WcetReport};
 pub use bcet::{bcet_ipet, best_block_costs};
 pub use engine::{AnalysisEngine, Job, MemoDomain, MemoStats, SolverStats, TaskArtifacts};
-pub use fingerprint::{debug_fingerprint, program_fingerprint};
 pub use ipet::{wcet_ipet, wcet_ipet_ctx, IpetError, IpetOptions, SolveContext, WcetBound};
 pub use mode::{AnalysisMode, Footprint, Isolated, Joint, JointRefs, Solo};
 pub use report::Table;
 pub use validate::{observe, run_machine, Observation};
+pub use wcet_ir::fingerprint::{self, debug_fingerprint, program_fingerprint};
 pub use yieldgraph::{joint_yield_wcet, YieldReport};

@@ -10,7 +10,8 @@
 //! * validated control-flow graphs ([`mod@cfg`]), natural-loop detection
 //!   ([`loops`]) and flow facts ([`flow`]) — the paper's §2.1 "flow
 //!   analysis" artefacts;
-//! * complete [`program::Program`]s with code layout and data regions;
+//! * complete [`program::Program`]s with code layout and data regions,
+//!   and the content [`fingerprint`]s that key every memo table;
 //! * a seeded workload generator ([`synth`]) standing in for the Mälardalen
 //!   benchmarks used by the surveyed papers;
 //! * a reference interpreter ([`interp`]) used as the semantics oracle for
@@ -37,6 +38,7 @@ pub mod arena;
 pub mod budget;
 pub mod builder;
 pub mod cfg;
+pub mod fingerprint;
 pub mod fixpoint;
 pub mod flow;
 pub mod interp;

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::cfg::{BlockId, Cfg};
 use crate::flow::{FlowError, FlowFacts};
@@ -162,7 +163,7 @@ impl From<FlowError> for ProgramError {
 
 /// A complete analysable program: CFG + loops + flow facts + layout +
 /// initial machine state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Program {
     name: String,
     cfg: Cfg,
@@ -173,6 +174,67 @@ pub struct Program {
     data_regions: Vec<DataRegion>,
     init_regs: [i64; NUM_REGS],
     init_mem: Vec<(Addr, i64)>,
+    /// [`crate::fingerprint::program_fingerprint`], once computed. The
+    /// content never changes after construction except through the
+    /// consuming `with_*` builders, which reset it.
+    pub(crate) fingerprint: OnceLock<(u64, u64)>,
+}
+
+/// Exactly the derived rendering of the content fields: fingerprints
+/// hash this text, so the cache stays out of it.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Program {
+            name,
+            cfg,
+            loops,
+            flow,
+            layout,
+            block_addrs,
+            data_regions,
+            init_regs,
+            init_mem,
+            fingerprint: _,
+        } = self;
+        f.debug_struct("Program")
+            .field("name", name)
+            .field("cfg", cfg)
+            .field("loops", loops)
+            .field("flow", flow)
+            .field("layout", layout)
+            .field("block_addrs", block_addrs)
+            .field("data_regions", data_regions)
+            .field("init_regs", init_regs)
+            .field("init_mem", init_mem)
+            .finish()
+    }
+}
+
+/// Content equality: a filled fingerprint cache changes nothing.
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        let Program {
+            name,
+            cfg,
+            loops,
+            flow,
+            layout,
+            block_addrs,
+            data_regions,
+            init_regs,
+            init_mem,
+            fingerprint: _,
+        } = self;
+        *name == other.name
+            && *cfg == other.cfg
+            && *loops == other.loops
+            && *flow == other.flow
+            && *layout == other.layout
+            && *block_addrs == other.block_addrs
+            && *data_regions == other.data_regions
+            && *init_regs == other.init_regs
+            && *init_mem == other.init_mem
+    }
 }
 
 impl Program {
@@ -219,6 +281,7 @@ impl Program {
             data_regions: Vec::new(),
             init_regs: [0; NUM_REGS],
             init_mem: Vec::new(),
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -226,6 +289,7 @@ impl Program {
     #[must_use]
     pub fn with_data_region(mut self, region: DataRegion) -> Program {
         self.data_regions.push(region);
+        self.fingerprint.take();
         self
     }
 
@@ -233,6 +297,7 @@ impl Program {
     #[must_use]
     pub fn with_init_reg(mut self, reg: crate::isa::Reg, value: i64) -> Program {
         self.init_regs[reg.index()] = value;
+        self.fingerprint.take();
         self
     }
 
@@ -240,6 +305,7 @@ impl Program {
     #[must_use]
     pub fn with_init_mem(mut self, addr: Addr, value: i64) -> Program {
         self.init_mem.push((addr, value));
+        self.fingerprint.take();
         self
     }
 
@@ -404,6 +470,7 @@ mod tests {
     use super::*;
     use crate::builder::CfgBuilder;
     use crate::cfg::Terminator;
+    use crate::fingerprint::program_fingerprint;
     use crate::isa::{r, Instr};
 
     fn two_block_program() -> Program {
@@ -501,5 +568,33 @@ mod tests {
         assert!(!p.data_regions()[0].contains(Addr(0x8040)));
         assert_eq!(p.init_regs()[5], 42);
         assert_eq!(p.init_mem(), &[(Addr(0x8000), 7)]);
+    }
+
+    #[test]
+    fn builders_reset_the_fingerprint_cache() {
+        let builders: [fn(Program) -> Program; 3] = [
+            |p| p.with_data_region(DataRegion::new("buf", Addr(0x8000), 64)),
+            |p| p.with_init_reg(r(5), 42),
+            |p| p.with_init_mem(Addr(0x8000), 7),
+        ];
+        for extend in builders {
+            let cached = two_block_program();
+            let before = program_fingerprint(&cached);
+            let extended = program_fingerprint(&extend(cached));
+            assert_ne!(extended, before, "the builder changed the content");
+            assert_eq!(extended, program_fingerprint(&extend(two_block_program())));
+        }
+    }
+
+    #[test]
+    fn clones_carry_the_cache_and_eq_ignores_it() {
+        let fresh = two_block_program();
+        let cached = two_block_program();
+        let fp = program_fingerprint(&cached);
+        assert_eq!(fresh, cached);
+        assert_eq!(format!("{fresh:?}"), format!("{cached:?}"));
+        let copy = cached.clone();
+        assert_eq!(copy.fingerprint.get(), Some(&fp));
+        assert_eq!(program_fingerprint(&fresh), fp);
     }
 }

@@ -155,7 +155,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
     }
 }
 
-/// Writes one frame (header + payload) and flushes.
+/// Writes one frame (header + payload) in a single write and flushes.
+///
+/// A header written on its own reaches the reader as a segment of four
+/// bytes: the reader wakes for it and sleeps again until the payload
+/// follows, and with Nagle's algorithm on, the payload waits for the
+/// header's acknowledgement. One write sends the frame as one unit.
 ///
 /// # Errors
 ///
@@ -174,8 +179,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
                 ),
             )
         })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -190,6 +197,28 @@ mod tests {
         let mut cursor = &buf[..];
         assert_eq!(read_frame(&mut cursor).expect("reads"), "{\"x\":1}");
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+    }
+
+    /// Records the length of every `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut writes = Writes::default();
+        write_frame(&mut writes, "{\"x\":1}").expect("writes");
+        assert_eq!(writes.0, [4 + 7], "header and payload in one write");
     }
 
     #[test]

@@ -6,11 +6,12 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use wcet_serve::{
-    read_frame, Client, ErrorKind, FrameError, Request, Response, ServerConfig, ServerHandle,
-    MAX_FRAME,
+    read_frame, write_frame, Client, ErrorKind, FrameError, Request, Response, ServerConfig,
+    ServerHandle, MAX_FRAME,
 };
 
 fn start_server() -> ServerHandle {
@@ -134,6 +135,35 @@ fn unknown_requests_and_bad_specs_are_rejected() {
         .expect("server answers");
     expect_protocol_error(response, "exactly one cell");
 
+    assert_alive(&handle);
+    handle.stop();
+}
+
+/// A frame as large as the cap, nearly all of it one JSON string mixing
+/// multi-byte text and escapes, gets its typed answer well inside a
+/// client's read timeout: string parsing is linear, so a maximal frame
+/// cannot tie a worker up for long.
+#[test]
+fn maximal_string_frames_are_answered_promptly() {
+    let handle = start_server();
+    let request = |spec: String| {
+        Request::SubmitMatrix {
+            spec,
+            limits: wcet_serve::RequestLimits::default(),
+        }
+        .encode()
+    };
+    // Each unit encodes to 5 bytes: `é` (2), `\"` (2) and `x`.
+    let room = MAX_FRAME as usize - request("# ".into()).len();
+    let payload = request(format!("# {}", "é\"x".repeat(room / 5)));
+    assert!(payload.len() <= MAX_FRAME as usize && payload.len() + 5 > MAX_FRAME as usize);
+
+    let mut conn = TcpStream::connect(handle.addr()).expect("connects");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("sets the read timeout");
+    write_frame(&mut conn, &payload).expect("writes the frame");
+    let reply = read_frame(&mut conn).expect("answered within the read timeout");
+    expect_protocol_error(Response::decode(&reply).expect("decodes"), "bad spec");
     assert_alive(&handle);
     handle.stop();
 }
