@@ -1,71 +1,9 @@
 //! E04 (paper §4.1, Hardy et al. \[12\]): single-usage L2 bypass — lines
 //! used at most once stop polluting the shared L2, shrinking both the
-//! interference a task *exerts* and the WCET of its victims.
-
-use std::collections::BTreeMap;
-
-use wcet_bench::{l2_bound_machine, l2_bound_victim};
-use wcet_cache::bypass::single_usage_lines;
-use wcet_cache::shared::InterferenceMap;
-use wcet_core::analyzer::Analyzer;
-use wcet_core::report::Table;
-use wcet_ir::synth::{twin_diamonds, Placement};
+//! interference a task *exerts* and the WCET of its victims. Body in
+//! [`wcet_bench::experiments::exp04`] (shared with the in-process
+//! `run_all` driver).
 
 fn main() {
-    let m = l2_bound_machine(2);
-    let l2cfg = m.l2.as_ref().expect("has L2").cache;
-    let an = Analyzer::new(m);
-    let victim = l2_bound_victim(0);
-    // The polluter: a long run-once program (straight-line arms) — the
-    // single-usage case bypass was invented for.
-    let polluter = twin_diamonds(1500, Placement::slot(1));
-
-    let plan = single_usage_lines(&polluter, &l2cfg);
-    let full_fp = an.l2_footprint(&polluter, 1).expect("analyses");
-    let mut bypassed_fp = full_fp.clone();
-    for lines in bypassed_fp.values_mut() {
-        lines.retain(|l| !plan.lines.contains(l));
-    }
-
-    let mut t = Table::new(
-        "E04 — single-usage bypass: polluter footprint and victim WCET",
-        &[
-            "configuration",
-            "polluter L2 lines",
-            "victim WCET",
-            "vs no-polluter",
-        ],
-    );
-    let alone = an.wcet_joint(&victim, 0, 0, &[]).expect("analyses").wcet;
-    let rows: [(
-        &str,
-        &BTreeMap<u32, std::collections::BTreeSet<wcet_cache::config::LineAddr>>,
-    ); 2] = [
-        ("no bypass", &full_fp),
-        ("single-usage bypass", &bypassed_fp),
-    ];
-    t.row([
-        "(victim alone)".into(),
-        "0".into(),
-        alone.to_string(),
-        "1.00×".into(),
-    ]);
-    for (label, fp) in rows {
-        let wcet = an.wcet_joint(&victim, 0, 0, &[fp]).expect("analyses").wcet;
-        let lines = InterferenceMap::from_footprints([fp]).total_lines();
-        t.row([
-            label.to_string(),
-            lines.to_string(),
-            wcet.to_string(),
-            format!("{:.2}×", wcet as f64 / alone as f64),
-        ]);
-    }
-    t.note(format!(
-        "polluter has {} of {} lines single-usage ({:.0}%): bypassing them removes \
-         their interference entirely",
-        plan.lines.len(),
-        plan.total_lines,
-        100.0 * plan.bypass_ratio()
-    ));
-    println!("{t}");
+    let _ = wcet_bench::experiments::exp04();
 }

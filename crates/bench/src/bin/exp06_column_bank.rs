@@ -1,158 +1,9 @@
 //! E06 (paper §4.2, Paolieri et al. \[23\]): columnization (way
-//! partitioning) vs bankization (bank partitioning). Same per-core
-//! capacity, different shape: bankization preserves associativity, which
-//! is what AH/PS classification feeds on — expected shape: bankization
-//! yields tighter WCETs.
-
-use wcet_bench::suite;
-use wcet_cache::config::CacheConfig;
-use wcet_cache::partition::{OwnerId, PartitionPlan};
-use wcet_core::report::Table;
-use wcet_core::static_ctrl::{wcet_unlocked_ctx, StaticParams};
-use wcet_core::{IpetOptions, SolveContext};
-use wcet_ir::builder::CfgBuilder;
-use wcet_ir::cfg::Terminator;
-use wcet_ir::flow::{FlowFacts, LoopBound};
-use wcet_ir::isa::{r, Addr, AluOp, Cond, Instr, MemRef, Operand};
-use wcet_ir::program::Layout;
-use wcet_ir::{BlockId, Program};
-use wcet_pipeline::cost::CoreMode;
-use wcet_pipeline::timing::{MemTimings, PipelineConfig};
-
-fn params(l2: CacheConfig) -> StaticParams {
-    StaticParams {
-        l1i: CacheConfig::new(8, 1, 16, 1).expect("valid"),
-        l1d: CacheConfig::new(2, 1, 32, 1).expect("valid"),
-        l2: Some(l2),
-        timings: MemTimings {
-            l1_hit: 1,
-            l2_hit: Some(4),
-            bus_transfer: 8,
-            mem_latency: 30,
-        },
-        bus_wait_bound: Some(8 * 4 - 1),
-        pipeline: PipelineConfig::default(),
-        mode: CoreMode::Single,
-    }
-}
-
-/// A loop repeatedly loading `lines` scalars placed one *column* apart
-/// (stride = sets × line bytes): every access maps to the same cache set.
-/// With ≤ 2 ways (columnization) the set thrashes; with 8 ways
-/// (bankization) the whole working set persists — exactly Paolieri et
-/// al.'s argument for preserving associativity.
-fn column_sweep(lines: u32, iters: u32, stride: u64) -> Program {
-    let base_addr = Addr(0x100_0000);
-    let mut cb = CfgBuilder::new();
-    let entry = cb.add_block();
-    let header = cb.add_block();
-    let body = cb.add_block();
-    let exit = cb.add_block();
-    cb.push(entry, Instr::LoadImm { dst: r(1), imm: 0 });
-    cb.terminate(entry, Terminator::Jump(header));
-    cb.terminate(
-        header,
-        Terminator::Branch {
-            cond: Cond::Lt,
-            lhs: r(1),
-            rhs: Operand::Imm(i64::from(iters)),
-            taken: body,
-            not_taken: exit,
-        },
-    );
-    for k in 0..lines {
-        cb.push(
-            body,
-            Instr::Load {
-                dst: r(8),
-                mem: MemRef::Static(base_addr.offset(u64::from(k) * stride)),
-            },
-        );
-        cb.push(
-            body,
-            Instr::Alu {
-                op: AluOp::Add,
-                dst: r(16),
-                lhs: r(16),
-                rhs: r(8).into(),
-            },
-        );
-    }
-    cb.push(
-        body,
-        Instr::Alu {
-            op: AluOp::Add,
-            dst: r(1),
-            lhs: r(1),
-            rhs: 1.into(),
-        },
-    );
-    cb.terminate(body, Terminator::Jump(header));
-    cb.terminate(exit, Terminator::Return);
-    let cfg = cb.build(entry).expect("valid");
-    let mut facts = FlowFacts::new();
-    facts.set_bound(BlockId::from_index(1), LoopBound(u64::from(iters)));
-    Program::new(
-        format!("colsweep{lines}x{iters}"),
-        cfg,
-        facts,
-        Layout {
-            code_base: Addr(0x1_0000),
-        },
-    )
-    .expect("valid")
-}
+//! partitioning) vs bankization (bank partitioning) — same per-core
+//! capacity, but bankization preserves associativity and yields tighter
+//! WCETs. Body in [`wcet_bench::experiments::exp06`] (shared with the
+//! in-process `run_all` driver).
 
 fn main() {
-    let base = CacheConfig::new(64, 8, 32, 4).expect("valid");
-    let opts = IpetOptions::default();
-    let mut t = Table::new(
-        "E06 — columnization vs bankization, 4 cores sharing a 16 KiB 8-way L2",
-        &[
-            "task",
-            "columnization (64s × 2w)",
-            "bankization (16s × 8w)",
-            "bank/column",
-        ],
-    );
-    let cols = PartitionPlan::even_columns(&base, 4).expect("fits");
-    let banks = PartitionPlan::even_banks(&base, 4).expect("divides");
-    let col_eff = cols.effective_config(&base, OwnerId(0)).expect("ok");
-    let bank_eff = banks.effective_config(&base, OwnerId(0)).expect("ok");
-    assert_eq!(col_eff.capacity_bytes(), bank_eff.capacity_bytes());
-
-    // Each task solves twice (columnized, bankized) over one flow
-    // system: the shared context warm-starts the second solve.
-    let ctx = SolveContext::new();
-    let mut bank_wins = 0usize;
-    let mut tasks = suite(0);
-    // 5 lines, one per column: > 2 ways, ≤ 8 ways.
-    tasks.push(column_sweep(5, 40, 64 * 32));
-    let total = tasks.len();
-    for p in tasks {
-        let wc =
-            wcet_unlocked_ctx(&p, &params(col_eff), &opts, Some(&ctx), None).expect("analyses");
-        let wb =
-            wcet_unlocked_ctx(&p, &params(bank_eff), &opts, Some(&ctx), None).expect("analyses");
-        if wb <= wc {
-            bank_wins += 1;
-        }
-        t.row([
-            p.name().to_string(),
-            wc.to_string(),
-            wb.to_string(),
-            format!("{:.2}×", wb as f64 / wc as f64),
-        ]);
-    }
-    t.note(format!(
-        "bankization ≤ columnization on {bank_wins}/{total} tasks: same capacity, but 8-way \
-         associativity keeps must/persistence classification alive — decisive on the \
-         column-strided sweep (Paolieri et al.)"
-    ));
-    println!("{t}");
-    let s = ctx.stats();
-    println!(
-        "solver context: {} warm-started solves, {} cold",
-        s.warm_hits, s.cold_solves
-    );
+    let _ = wcet_bench::experiments::exp06();
 }

@@ -1,162 +1,9 @@
-//! E07 (paper §5.1, Crowley & Baer \[7\]): the global yield-graph ILP works
-//! — its bound dominates the simulated makespan — but its model size and
-//! solve effort grow with thread count and yield sites, reproducing the
-//! paper's scalability verdict ("such an approach is not scalable").
-
-use std::time::Instant;
-
-use wcet_bench::machine;
-use wcet_cache::analysis::{AnalysisInput, LevelKind};
-use wcet_cache::multilevel::{analyze_hierarchy, HierarchyConfig};
-use wcet_core::report::Table;
-use wcet_core::validate::run_machine;
-use wcet_core::yieldgraph::joint_yield_wcet;
-use wcet_ilp::IlpConfig;
-use wcet_ir::builder::CfgBuilder;
-use wcet_ir::cfg::Terminator;
-use wcet_ir::flow::{FlowFacts, LoopBound};
-use wcet_ir::isa::{r, Cond, Instr, Operand};
-use wcet_ir::program::Layout;
-use wcet_ir::{Addr, BlockId, Program};
-use wcet_pipeline::cost::{block_costs, BlockCosts, CoreMode, CostInput};
-use wcet_pipeline::timing::{MemTimings, PipelineConfig};
-use wcet_sim::config::{CoreKind, MachineConfig};
-
-/// A packet-pipeline stage: loop of `iters` iterations, `sites` yield
-/// points per iteration (Crowley & Baer's software structure).
-fn stage(iters: u64, sites: u32, code_base: u64, name: &str) -> Program {
-    let mut cb = CfgBuilder::new();
-    let entry = cb.add_block();
-    let header = cb.add_block();
-    let exit = cb.add_block();
-    cb.push(entry, Instr::LoadImm { dst: r(1), imm: 0 });
-    cb.terminate(entry, Terminator::Jump(header));
-    let mut bodies = Vec::new();
-    for _ in 0..sites {
-        let b = cb.add_block();
-        cb.push(b, Instr::Nop);
-        cb.push(b, Instr::Nop);
-        cb.push(b, Instr::Yield);
-        bodies.push(b);
-    }
-    let latch = cb.add_block();
-    cb.terminate(
-        header,
-        Terminator::Branch {
-            cond: Cond::Lt,
-            lhs: r(1),
-            rhs: Operand::Imm(iters as i64),
-            taken: bodies[0],
-            not_taken: exit,
-        },
-    );
-    for (i, &b) in bodies.iter().enumerate() {
-        let next = if i + 1 < bodies.len() {
-            bodies[i + 1]
-        } else {
-            latch
-        };
-        cb.terminate(b, Terminator::Jump(next));
-    }
-    cb.push(
-        latch,
-        Instr::Alu {
-            op: wcet_ir::AluOp::Add,
-            dst: r(1),
-            lhs: r(1),
-            rhs: 1.into(),
-        },
-    );
-    cb.terminate(latch, Terminator::Jump(header));
-    cb.terminate(exit, Terminator::Return);
-    let cfg = cb.build(entry).expect("valid");
-    let mut facts = FlowFacts::new();
-    facts.set_bound(BlockId::from_index(1), LoopBound(iters));
-    Program::new(
-        name,
-        cfg,
-        facts,
-        Layout {
-            code_base: Addr(code_base),
-        },
-    )
-    .expect("valid")
-}
-
-fn costs_for(p: &Program, m: &MachineConfig) -> BlockCosts {
-    let l2c = m.l2.as_ref().expect("has L2").cache;
-    let h = analyze_hierarchy(
-        p,
-        &HierarchyConfig {
-            l1i: m.cores[0].l1i,
-            l1d: m.cores[0].l1d,
-            l2: Some(AnalysisInput::level1(l2c, LevelKind::Unified)),
-        },
-    );
-    let input = CostInput {
-        pipeline: PipelineConfig::default(),
-        timings: MemTimings {
-            l1_hit: 1,
-            l2_hit: Some(l2c.hit_latency),
-            bus_transfer: m.bus.transfer,
-            mem_latency: 30,
-        },
-        bus_wait_bound: Some(0), // single yield-core machine: bus uncontended
-        mode: CoreMode::Single,
-    };
-    block_costs(p, &h, &input).expect("bounded")
-}
+//! E07 (paper §5.1, Crowley & Baer \[7\]): the global yield-graph ILP
+//! bounds the simulated makespan, but its model grows with thread count
+//! and yield sites — the paper's scalability verdict. Body in
+//! [`wcet_bench::experiments::exp07`] (shared with the in-process
+//! `run_all` driver).
 
 fn main() {
-    let mut t = Table::new(
-        "E07 — yield-graph joint ILP: bound vs makespan, and model growth",
-        &[
-            "threads",
-            "yield edges",
-            "ILP vars",
-            "constraints",
-            "solve ms",
-            "bound",
-            "sim makespan",
-            "sound",
-        ],
-    );
-    for n in 2..=5usize {
-        let mut m = machine(1);
-        m.cores[0].kind = CoreKind::YieldMt { threads: n as u32 };
-        // Stage code is packed contiguously (128 B apart): the stages'
-        // lines occupy distinct L1I sets, so no thread evicts another's
-        // code between yields — the precondition for composing per-thread
-        // cache analyses into the joint bound (spaced-by-64-KiB placement
-        // would alias every stage onto set 0 and break it).
-        let threads: Vec<Program> = (0..n)
-            .map(|i| stage(6, 2, 0x1_0000 + 0x80 * i as u64, &format!("stage{i}")))
-            .collect();
-        let costs: Vec<BlockCosts> = threads.iter().map(|p| costs_for(p, &m)).collect();
-        let trefs: Vec<&Program> = threads.iter().collect();
-        let crefs: Vec<&BlockCosts> = costs.iter().collect();
-        let t0 = Instant::now();
-        let rep = joint_yield_wcet(&trefs, &crefs, 6, IlpConfig::default()).expect("solves");
-        let ms = t0.elapsed().as_millis();
-        let loads: Vec<(usize, usize, Program)> = threads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (0, i, p.clone()))
-            .collect();
-        let run = run_machine(&m, loads, 500_000_000).expect("runs");
-        assert!(run.makespan <= rep.wcet, "joint bound violated");
-        t.row([
-            n.to_string(),
-            rep.yield_edges.to_string(),
-            rep.num_vars.to_string(),
-            rep.num_constraints.to_string(),
-            ms.to_string(),
-            rep.wcet.to_string(),
-            run.makespan.to_string(),
-            "yes".to_string(),
-        ]);
-    }
-    t.note("yield-edge variables grow as threads × sites × (threads−1); with real");
-    t.note("control flow this quadratic blow-up is the paper's scalability objection.");
-    println!("{t}");
+    let _ = wcet_bench::experiments::exp07();
 }

@@ -1,69 +1,9 @@
-//! E10 (paper §5.3, Bourgade et al. \[2\]): the multi-bandwidth bus arbiter.
-//! With heterogeneous memory demand, giving the memory-hungry core a
-//! larger bandwidth share trades a small penalty on light tasks for a
-//! large gain on the heavy one — where uniform round-robin must charge
-//! everyone the same worst case.
-
-use wcet_arbiter::ArbiterKind;
-use wcet_core::analyzer::Analyzer;
-use wcet_core::report::Table;
-use wcet_ir::synth::{crc, pointer_chase_stride, single_path, Placement};
-use wcet_ir::Program;
-use wcet_sim::config::MachineConfig;
+//! E10 (paper §5.3, Bourgade et al. \[2\]): the multi-bandwidth bus
+//! arbiter — under heterogeneous memory demand, a larger bandwidth share
+//! for the memory-hungry core beats uniform round-robin. Body in
+//! [`wcet_bench::experiments::exp10`] (shared with the in-process
+//! `run_all` driver).
 
 fn main() {
-    let n = 4usize;
-    let transfer = 8u64;
-    // Heterogeneous workload: core 0 memory-hungry, cores 1–3 light.
-    let tasks: Vec<Program> = vec![
-        pointer_chase_stride(4096, 300, 32, Placement::slot(0)), // heavy
-        crc(48, Placement::slot(1)),
-        single_path(6, 40, Placement::slot(2)),
-        crc(24, Placement::slot(3)),
-    ];
-
-    let mut t = Table::new(
-        "E10 — heterogeneous demand: per-task WCET under RR vs MBBA",
-        &[
-            "task",
-            "demand",
-            "RR WCET",
-            "MBBA WCET (w=5,1,1,1)",
-            "MBBA/RR",
-        ],
-    );
-    let demand = ["heavy", "light", "light", "light"];
-
-    let mk = |arb: ArbiterKind| {
-        let mut m = MachineConfig::symmetric(n);
-        m.memory = wcet_arbiter::MemoryKind::Predictable { latency: 8 };
-        m.bus.arbiter = arb;
-        Analyzer::new(m)
-    };
-    let rr = mk(ArbiterKind::RoundRobin);
-    let mbba = mk(ArbiterKind::Mbba {
-        weights: vec![5, 1, 1, 1],
-        slot_len: transfer,
-    });
-
-    let mut heavy_gain = 0.0f64;
-    for (i, p) in tasks.iter().enumerate() {
-        let w_rr = rr.wcet_isolated(p, i, 0).expect("analyses").wcet;
-        let w_mb = mbba.wcet_isolated(p, i, 0).expect("analyses").wcet;
-        if i == 0 {
-            heavy_gain = w_rr as f64 / w_mb as f64;
-        }
-        t.row([
-            p.name().to_string(),
-            demand[i].to_string(),
-            w_rr.to_string(),
-            w_mb.to_string(),
-            format!("{:.2}×", w_mb as f64 / w_rr as f64),
-        ]);
-    }
-    t.note(format!(
-        "the heavy task gains {heavy_gain:.2}× from its larger share; light tasks pay a \
-         modest premium — 'better fits workloads with heterogeneous demands' (paper §5.3)"
-    ));
-    println!("{t}");
+    let _ = wcet_bench::experiments::exp10();
 }

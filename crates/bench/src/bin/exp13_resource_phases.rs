@@ -1,55 +1,8 @@
-//! E13 (paper §6, Schranzhofer et al. \[36\]): resource access models. The
-//! survey's conclusion recommends software that touches shared resources
-//! only in dedicated phases; batching requests amortises slot waits under
-//! TDMA, and the advantage *grows* with slot length — exactly where the
-//! unstructured (general) model's offset-blind bound degrades (E08).
-
-use wcet_arbiter::{Slot, Tdma};
-use wcet_core::report::Table;
-use wcet_sched::phases::{wcrt, AccessModel, PhasedTask, SuperBlock};
+//! E13 (paper §6, Schranzhofer et al. \[36\]): resource access models —
+//! dedicated access phases amortise TDMA slot waits, and the advantage
+//! grows with slot length. Body in [`wcet_bench::experiments::exp13`]
+//! (shared with the in-process `run_all` driver).
 
 fn main() {
-    let n = 4usize;
-    let transfer = 8u64;
-    let mem = 10u64;
-    // A task of 6 superblocks, each: acquire 8 lines, compute 300 cycles,
-    // write back 4 lines.
-    let task = PhasedTask {
-        superblocks: (0..6).map(|_| SuperBlock::aer(8, 300, 4)).collect(),
-    };
-
-    let mut t = Table::new(
-        "E13 — resource access models on a 4-core TDMA bus (Schranzhofer et al.)",
-        &[
-            "slot len",
-            "general-access WCRT",
-            "dedicated-phases WCRT",
-            "gain",
-        ],
-    );
-    for slot_len in [transfer, 2 * transfer, 4 * transfer, 8 * transfer] {
-        let tdma = Tdma::new(
-            n,
-            (0..n)
-                .map(|owner| Slot {
-                    owner,
-                    len: slot_len,
-                })
-                .collect(),
-        )
-        .expect("valid");
-        let g = wcrt(&task, &tdma, 0, transfer, mem, AccessModel::GeneralAccess).expect("fits");
-        let d = wcrt(&task, &tdma, 0, transfer, mem, AccessModel::DedicatedPhases).expect("fits");
-        assert!(d <= g, "dedicated must dominate");
-        t.row([
-            slot_len.to_string(),
-            g.to_string(),
-            d.to_string(),
-            format!("{:.2}×", g as f64 / d as f64),
-        ]);
-    }
-    t.note("the general model charges every request the offset-blind wait; dedicated");
-    t.note("phases pay one wait per batch and stream the rest within granted slots —");
-    t.note("the conclusion's 'conflicts only in well-delimited parts' made quantitative.");
-    println!("{t}");
+    let _ = wcet_bench::experiments::exp13();
 }

@@ -25,9 +25,8 @@ use wcet_core::report::Table;
 struct ExpEntry {
     id: String,
     wall_ms: f64,
-    /// Deterministic effort counters; `None` for subprocess experiments,
-    /// which cannot report them.
-    effort: Option<Effort>,
+    /// Deterministic effort counters.
+    effort: Effort,
 }
 
 /// Worklist-fixpoint evaluations vs the naive-sweep equivalent,
@@ -109,7 +108,7 @@ fn parse(doc: &Json) -> Option<Doc> {
             Some(ExpEntry {
                 id: e.get("id")?.as_str()?.to_string(),
                 wall_ms: e.get("wall_ms")?.as_f64()?,
-                effort: effort(e),
+                effort: effort(e)?,
             })
         })
         .collect::<Option<Vec<_>>>()?;
@@ -245,9 +244,7 @@ fn main() -> ExitCode {
         ],
     );
     for (b, e) in &pairs {
-        let (Some(b), Some(c)) = (b.effort, e.effort) else {
-            continue; // subprocess experiment: nothing to report
-        };
+        let (b, c) = (b.effort, e.effort);
         t.row([
             e.id.clone(),
             b.evaluated.to_string(),

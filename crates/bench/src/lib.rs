@@ -1,9 +1,11 @@
 //! # wcet-bench — the experiment harness
 //!
 //! One binary per surveyed claim (see `EXPERIMENTS.md` at the workspace
-//! root): `exp01_singlecore` … `exp12_unsafe_solo`, plus `run_all`.
-//! This library holds the shared machine/workload builders so every
-//! experiment uses the same substrate.
+//! root): `exp01_singlecore` … `exp13_resource_phases`, each a thin
+//! wrapper over its body in [`experiments`]. The `run_all` suite driver
+//! lives in `wcet-serve`, which can also drive the analysis server. This
+//! library holds the experiment bodies and the shared machine/workload
+//! builders, so every experiment uses the same substrate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
