@@ -18,36 +18,20 @@
 
 use std::process::ExitCode;
 
+use wcet_bench::counters::Counters;
 use wcet_bench::json::Json;
 use wcet_core::report::Table;
+use wcet_ir::fixpoint::FixpointStats;
+use wcet_sim::machine::SkipStats;
 
 /// One experiment's measurements.
 struct ExpEntry {
     id: String,
     wall_ms: f64,
-    /// Deterministic effort counters.
-    effort: Effort,
-}
-
-/// Worklist-fixpoint evaluations vs the naive-sweep equivalent,
-/// simulator cycles fast-forwarded, and 64-bit words pushed through the
-/// domain kernels.
-#[derive(Clone, Copy)]
-struct Effort {
-    evaluated: u64,
-    sweep_evals: u64,
-    skipped_cycles: u64,
-    kernel_words: u64,
-}
-
-fn effort(experiment: &Json) -> Option<Effort> {
-    let count = |path: &[&str]| experiment.get_path(path).and_then(Json::as_u64);
-    Some(Effort {
-        evaluated: count(&["fixpoint", "evaluated"])?,
-        sweep_evals: count(&["fixpoint", "sweep_evals"])?,
-        skipped_cycles: count(&["sim_skip", "skipped_cycles"])?,
-        kernel_words: count(&["fixpoint", "kernel_words"])?,
-    })
+    /// Deterministic effort counters: fixpoint evaluations against the
+    /// naive sweep and kernel words, and simulator cycles skipped.
+    fixpoint: FixpointStats,
+    sim_skip: SkipStats,
 }
 
 /// The streaming campaign's cold-run throughput, reuse and supervision.
@@ -108,7 +92,8 @@ fn parse(doc: &Json) -> Option<Doc> {
             Some(ExpEntry {
                 id: e.get("id")?.as_str()?.to_string(),
                 wall_ms: e.get("wall_ms")?.as_f64()?,
-                effort: effort(e)?,
+                fixpoint: FixpointStats::from_json(e.get("fixpoint")?)?,
+                sim_skip: SkipStats::from_json(e.get("sim_skip")?)?,
             })
         })
         .collect::<Option<Vec<_>>>()?;
@@ -243,17 +228,16 @@ fn main() -> ExitCode {
             "cur kern words",
         ],
     );
-    for (b, e) in &pairs {
-        let (b, c) = (b.effort, e.effort);
+    for (b, c) in &pairs {
         t.row([
-            e.id.clone(),
-            b.evaluated.to_string(),
-            c.evaluated.to_string(),
-            c.sweep_evals.to_string(),
-            b.skipped_cycles.to_string(),
-            c.skipped_cycles.to_string(),
-            b.kernel_words.to_string(),
-            c.kernel_words.to_string(),
+            c.id.clone(),
+            b.fixpoint.evaluated.to_string(),
+            c.fixpoint.evaluated.to_string(),
+            c.fixpoint.sweep_evals.to_string(),
+            b.sim_skip.skipped_cycles.to_string(),
+            c.sim_skip.skipped_cycles.to_string(),
+            b.fixpoint.kernel_words.to_string(),
+            c.fixpoint.kernel_words.to_string(),
         ]);
     }
     println!("{t}");

@@ -98,16 +98,6 @@ fn solver_totals<'a>(engines: impl IntoIterator<Item = &'a AnalysisEngine>) -> S
     acc
 }
 
-/// The solver counters of everything solved through `ctx`.
-fn context_solver(ctx: &SolveContext) -> SolverStats {
-    let stats = ctx.stats();
-    SolverStats {
-        warm_hits: stats.warm_hits,
-        cold_solves: stats.cold_solves,
-        totals: ctx.totals(),
-    }
-}
-
 /// Sums the fixpoint counters of several engines.
 fn fixpoint_totals<'a>(engines: impl IntoIterator<Item = &'a AnalysisEngine>) -> FixpointStats {
     let mut acc = FixpointStats::default();
@@ -588,7 +578,7 @@ pub fn exp09() -> ExperimentRun {
         id: "exp09_rr_bound",
         title: "round-robin bound tightness",
         rows,
-        solver: context_solver(&ctx),
+        solver: ctx.stats(),
         fixpoint,
         sim_skip: skip,
     }
@@ -983,7 +973,7 @@ pub fn exp06() -> ExperimentRun {
         id: "exp06_column_bank",
         title: "columnization vs bankization",
         rows,
-        solver: context_solver(&ctx),
+        solver: s,
         fixpoint: fix.total(),
         sim_skip: SkipStats::default(),
     }

@@ -5,42 +5,17 @@
 //! wrapper over its body in [`experiments`]. The `run_all` suite driver
 //! lives in `wcet-serve`, which can also drive the analysis server. This
 //! library holds the experiment bodies and the shared machine/workload
-//! builders, so every experiment uses the same substrate.
+//! builders, so every experiment uses the same substrate, plus the one
+//! [`counters`] codec that writes and reads every effort-counter block.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod counters;
 pub mod experiments;
 pub mod json;
 pub mod load;
 pub mod scenario;
-
-use json::Json;
-use wcet_ir::fixpoint::FixpointStats;
-use wcet_sim::machine::SkipStats;
-
-/// JSON rendering of worklist-fixpoint counters (schema 5; the kernel
-/// and arena counters joined in schema 9).
-#[must_use]
-pub fn fixpoint_json(s: &FixpointStats) -> Json {
-    Json::obj([
-        ("evaluated", Json::from(s.evaluated)),
-        ("max_trips", Json::from(s.max_trips)),
-        ("sweep_evals", Json::from(s.sweep_evals)),
-        ("kernel_words", Json::from(s.kernel_words)),
-        ("arena_bytes", Json::from(s.arena_bytes)),
-        ("arena_resets", Json::from(s.arena_resets)),
-    ])
-}
-
-/// Schema-5 JSON rendering of simulator event-skipping counters.
-#[must_use]
-pub fn skip_json(s: &SkipStats) -> Json {
-    Json::obj([
-        ("fast_forwards", Json::from(s.fast_forwards)),
-        ("skipped_cycles", Json::from(s.skipped_cycles)),
-    ])
-}
 
 use wcet_cache::config::CacheConfig;
 use wcet_ir::synth::{self, Placement};

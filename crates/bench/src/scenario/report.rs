@@ -1,5 +1,5 @@
 //! Structured reporting of a run: for a materialized run (cells kept),
-//! a machine-readable JSON document (`wcet scenarios` schema 2) and a
+//! a machine-readable JSON document (`wcet scenarios` schema 3) and a
 //! rendered Markdown table of every cell — plus the compact summary
 //! forms of a streaming campaign, whose cells are not retained, so only
 //! aggregates are reported.
@@ -9,10 +9,12 @@ use wcet_core::validate::Observation;
 
 use super::run::CellOutcome;
 use super::stream::CampaignRun;
+use crate::counters::Counters;
 use crate::json::Json;
 
-/// The JSON schema version of [`matrix_json`] documents.
-pub const SCHEMA: u64 = 2;
+/// The JSON schema version of [`matrix_json`] and [`campaign_json`]
+/// documents (3: every counter block is a full [`Counters`] block).
+pub const SCHEMA: u64 = 3;
 
 fn fingerprint_hex(fp: (u64, u64)) -> String {
     format!("{:016x}{:016x}", fp.0, fp.1)
@@ -114,22 +116,11 @@ pub fn matrix_json(run: &CampaignRun) -> Json {
         ("duplicates", Json::from(run.duplicates)),
         ("validated_cells", Json::from(run.validated)),
         ("sound_cells", Json::from(run.sound)),
-        (
-            "solver",
-            Json::obj([
-                ("warm_hits", Json::from(run.solver.warm_hits)),
-                ("cold_solves", Json::from(run.solver.cold_solves)),
-                ("pivots", Json::from(run.solver.totals.pivots)),
-                ("phase1_skips", Json::from(run.solver.totals.phase1_skips)),
-                ("f64_solves", Json::from(run.solver.totals.f64_solves)),
-                ("certified", Json::from(run.solver.totals.certified)),
-                ("fallbacks", Json::from(run.solver.totals.fallbacks)),
-            ]),
-        ),
+        ("solver", run.solver.to_json()),
         // Schema 2: iteration effort — worklist fixpoint vs the naive
         // sweep it replaced, and the validation replays' skipped cycles.
-        ("fixpoint", crate::fixpoint_json(&run.fixpoint)),
-        ("sim_skip", crate::skip_json(&run.sim_skip)),
+        ("fixpoint", run.fixpoint.to_json()),
+        ("sim_skip", run.sim_skip.to_json()),
     ])
 }
 
@@ -253,7 +244,6 @@ pub fn campaign_json(run: &CampaignRun) -> Json {
         ("errors", Json::from(run.errors)),
         ("bounded", Json::from(run.bounded)),
         ("rows_reused", Json::from(run.rows_reused)),
-        ("neighbor_hits", Json::from(run.memo.neighbor_hits)),
         ("disk_hits", Json::from(run.disk_hits)),
         ("disk_appended", Json::from(run.disk_appended)),
         ("disk_skipped", Json::from(run.disk_skipped)),
@@ -274,16 +264,10 @@ pub fn campaign_json(run: &CampaignRun) -> Json {
         ),
         ("wall_ms", Json::from(run.wall.as_millis() as u64)),
         ("cells_per_sec", Json::from(run.cells_per_sec())),
-        (
-            "solver",
-            Json::obj([
-                ("warm_hits", Json::from(run.solver.warm_hits)),
-                ("cold_solves", Json::from(run.solver.cold_solves)),
-                ("pivots", Json::from(run.solver.totals.pivots)),
-            ]),
-        ),
-        ("fixpoint", crate::fixpoint_json(&run.fixpoint)),
-        ("sim_skip", crate::skip_json(&run.sim_skip)),
+        ("memo", run.memo.to_json()),
+        ("solver", run.solver.to_json()),
+        ("fixpoint", run.fixpoint.to_json()),
+        ("sim_skip", run.sim_skip.to_json()),
     ])
 }
 
@@ -357,7 +341,7 @@ mod tests {
         );
         assert_eq!(run.cells.len(), 2);
         let doc = matrix_json(&run).to_string();
-        assert!(doc.contains("\"schema\":2"));
+        assert!(doc.contains("\"schema\":3"));
         assert!(doc.contains("\"matrix\":\"tiny\""));
         assert!(doc.contains("\"all_sound\":true"));
         let md = matrix_markdown(&run);

@@ -874,7 +874,6 @@ pub fn run_campaign_with(
         sink.cells
             .sort_by_key(|c| matrix.lex_rank(&first[&c.fingerprint]));
     }
-    let ctx_stats = shared.ctx.stats();
     let mut fixpoint = sink.fixpoint;
     fixpoint.absorb(&shared.memo.fixpoint_stats());
     CampaignRun {
@@ -899,11 +898,7 @@ pub fn run_campaign_with(
         sound: sink.sound,
         violations: sink.violations,
         memo: shared.memo.stats(),
-        solver: SolverStats {
-            warm_hits: ctx_stats.warm_hits,
-            cold_solves: ctx_stats.cold_solves,
-            totals: shared.ctx.totals(),
-        },
+        solver: shared.ctx.stats(),
         fixpoint,
         sim_skip: sink.sim_skip,
         wall: start.elapsed(),

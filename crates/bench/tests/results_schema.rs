@@ -2,10 +2,16 @@
 //! step diffs fresh runs against this document, so a malformed or
 //! silently-regressed baseline would make every future comparison render
 //! `—` instead of a delta. This test pins the members the trend tooling
-//! keys on — it is about *shape*, not timing values, so it is stable on
-//! any machine.
+//! keys on, and that every effort-counter block decodes with the shared
+//! [`Counters`] codec — it is about *shape*, not timing values, so it is
+//! stable on any machine.
 
+use wcet_bench::counters::Counters;
 use wcet_bench::json::Json;
+use wcet_core::MemoStats;
+use wcet_ilp::SolverStats;
+use wcet_ir::fixpoint::FixpointStats;
+use wcet_sim::machine::SkipStats;
 
 fn checked_in_results() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
@@ -20,7 +26,7 @@ fn results_schema_is_current_and_campaign_throughput_parses() {
         .get("schema")
         .and_then(Json::as_u64)
         .expect("document carries a schema number");
-    assert!(schema >= 11, "schema regressed below 11: {schema}");
+    assert!(schema >= 12, "schema regressed below 12: {schema}");
 
     // Schema 9's suite-level wall clock.
     let total_ms = doc
@@ -80,6 +86,14 @@ fn load_block_carries_schema10_members_in_shape() {
     }
 }
 
+/// Decodes the counter block at `path` into `C`, or names the path
+/// that failed.
+fn decode<C: Counters>(doc: &Json, path: &[&str]) -> C {
+    doc.get_path(path)
+        .and_then(C::from_json)
+        .unwrap_or_else(|| panic!("{} is not a full counter block", path.join(".")))
+}
+
 #[test]
 fn fixpoint_blocks_carry_schema9_kernel_counters() {
     let doc = checked_in_results();
@@ -92,7 +106,8 @@ fn fixpoint_blocks_carry_schema9_kernel_counters() {
     for e in exps {
         let id = e.get("id").and_then(Json::as_str).unwrap_or("?");
         // Schema 11: every experiment runs in-process, so every one
-        // carries rows and all three effort blocks.
+        // carries rows and all three effort blocks — schema 12: each
+        // a full counter block.
         assert!(e.get("driver").is_none(), "{id} carries a `driver`");
         assert!(
             e.get("rows")
@@ -100,24 +115,41 @@ fn fixpoint_blocks_carry_schema9_kernel_counters() {
                 .is_some_and(|rows| !rows.is_empty()),
             "{id} has no rows"
         );
-        for block in ["solver", "fixpoint", "sim_skip"] {
-            assert!(
-                matches!(e.get(block), Some(Json::Obj(_))),
-                "{id}.{block} is not an object"
-            );
-        }
-        let fp = e.get("fixpoint").expect("checked above");
-        for key in ["kernel_words", "arena_bytes", "arena_resets"] {
-            let v = fp.get(key).and_then(Json::as_u64);
-            assert!(v.is_some(), "fixpoint block of {id} lacks {key}");
-        }
-        if fp.get("evaluated").and_then(Json::as_u64).unwrap_or(0) > 0 {
+        decode::<SolverStats>(e, &["solver"]);
+        decode::<SkipStats>(e, &["sim_skip"]);
+        let fp = decode::<FixpointStats>(e, &["fixpoint"]);
+        if fp.evaluated > 0 {
             analysed += 1;
             assert!(
-                fp.get("kernel_words").and_then(Json::as_u64).unwrap_or(0) > 0,
+                fp.kernel_words > 0,
                 "an analysis that ran must have pushed words through the kernels ({id})"
             );
         }
     }
     assert!(analysed > 0, "no experiment ran a cache analysis");
+}
+
+#[test]
+fn every_counter_block_decodes() {
+    let doc = checked_in_results();
+    decode::<SolverStats>(&doc, &["batch_vs_sequential", "solver"]);
+    decode::<FixpointStats>(&doc, &["batch_vs_sequential", "fixpoint"]);
+    decode::<SolverStats>(&doc, &["solver_warm_vs_cold", "warm"]);
+    for at in [
+        &["scenarios"][..],
+        &["campaign", "cold"],
+        &["campaign", "warm"],
+        &["campaign", "resume", "interrupted"],
+        &["campaign", "resume", "resumed"],
+        &["campaign", "resume", "reference"],
+    ] {
+        let path = |block| [at, &[block]].concat();
+        if at[0] == "campaign" {
+            decode::<MemoStats>(&doc, &path("memo"));
+        }
+        decode::<SolverStats>(&doc, &path("solver"));
+        decode::<FixpointStats>(&doc, &path("fixpoint"));
+        decode::<SkipStats>(&doc, &path("sim_skip"));
+    }
+    decode::<MemoStats>(&doc, &["serve", "memo_total"]);
 }

@@ -47,6 +47,8 @@ use crate::analyzer::{build_report, AnalysisError, Analyzer, TaskContext, WcetRe
 use crate::ipet::{wcet_ipet_ctx, IpetOptions, SolveContext, WcetBound};
 use crate::mode::AnalysisMode;
 
+pub use wcet_ilp::SolverStats;
+
 /// Poison-tolerant lock accessors. A supervised campaign cell that
 /// panics is caught at its cell boundary, but the unwind may have
 /// crossed a thread that once held one of the shared memo/stats locks —
@@ -374,29 +376,6 @@ impl std::fmt::Debug for Job<'_> {
     }
 }
 
-/// A point-in-time view of the engine's ILP-solver effort: the warm-start
-/// context counters plus every solver counter summed over the bounds the
-/// engine actually solved (memo hits re-solve nothing and add nothing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// IPET solves that reused a cached basis (phase 1 skipped).
-    pub warm_hits: u64,
-    /// IPET solves that ran cold (first sight of a task's flow system).
-    pub cold_solves: u64,
-    /// Summed per-solve counters (pivots, dual pivots, phase-1 skips…).
-    pub totals: SolveStats,
-}
-
-impl SolverStats {
-    /// Adds `other`'s counters into `self` (kept beside the struct so a
-    /// new field can never be silently dropped from an aggregation).
-    pub fn absorb(&mut self, other: &SolverStats) {
-        self.warm_hits += other.warm_hits;
-        self.cold_solves += other.cold_solves;
-        self.totals.absorb(&other.totals);
-    }
-}
-
 /// The shared memo tables of one or more [`AnalysisEngine`]s.
 ///
 /// Every key is machine-independent (geometry, timings and interference
@@ -606,15 +585,15 @@ impl AnalysisEngine {
         self.memo.stats()
     }
 
-    /// Current ILP-solver effort counters (warm-start hits, pivots,
-    /// phase-1 skips) across every bound this engine has solved.
+    /// Current ILP-solver effort: the warm-start context's hit/cold
+    /// counters plus every per-solve counter (pivots, phase-1 skips…)
+    /// summed over the bounds this engine actually solved (memo hits
+    /// re-solve nothing and add nothing).
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
-        let ctx = self.solve_ctx.stats();
         SolverStats {
-            warm_hits: ctx.warm_hits,
-            cold_solves: ctx.cold_solves,
             totals: *lock_ok(&self.solver_totals),
+            ..self.solve_ctx.stats()
         }
     }
 

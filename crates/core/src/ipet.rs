@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use wcet_ilp::{
-    solve_ilp, solve_lp, CmpOp, ContextStats, IlpConfig, IlpError, LinExpr, LpModel, Rat,
-    SolveStats, SolveStatus, VarId,
+    solve_ilp, solve_lp, CmpOp, IlpConfig, IlpError, LinExpr, LpModel, Rat, SolveStats,
+    SolveStatus, SolverStats, VarId,
 };
 use wcet_ir::fingerprint::program_fingerprint;
 use wcet_ir::{BlockId, Edge, Program};
@@ -39,19 +39,13 @@ impl SolveContext {
         SolveContext::default()
     }
 
-    /// Warm-hit / cold-solve counters.
+    /// Warm-hit / cold-solve counters and the summed per-solve effort
+    /// counters (pivots, certified f64 solves, fallbacks, eta
+    /// refactorizations…) of every IPET solve served through this
+    /// context — engine-family *and* statically-controlled paths alike.
     #[must_use]
-    pub fn stats(&self) -> ContextStats {
+    pub fn stats(&self) -> SolverStats {
         self.inner.stats()
-    }
-
-    /// Summed per-solve effort counters (pivots, certified f64 solves,
-    /// fallbacks, eta refactorizations…) of every IPET solve served
-    /// through this context — engine-family *and* statically-controlled
-    /// paths alike.
-    #[must_use]
-    pub fn totals(&self) -> SolveStats {
-        self.inner.totals()
     }
 }
 

@@ -18,7 +18,6 @@
 //! the engine's batch-equals-sequential guarantee.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::branch_bound::{solve_ilp_warm, IlpConfig, IlpError, IlpStats};
@@ -39,13 +38,28 @@ fn lock_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// dimensions are re-validated against the model on every use).
 pub type SolveKey = (u64, u64);
 
-/// Monotonic counters of a [`SolveContext`].
+/// A point-in-time view of ILP-solver effort: how many solves reused a
+/// cached basis, how many ran cold, and every per-solve counter summed
+/// over those same solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ContextStats {
+pub struct SolverStats {
     /// Solves that reused a cached basis (phase 1 skipped).
     pub warm_hits: u64,
     /// Solves that ran cold (first sight of the key, or a stale basis).
     pub cold_solves: u64,
+    /// Summed per-solve counters (pivots, certified fast solves,
+    /// fallbacks…).
+    pub totals: SolveStats,
+}
+
+impl SolverStats {
+    /// Adds `other`'s counters into `self` (kept beside the struct so a
+    /// new field can never be silently dropped from an aggregation).
+    pub fn absorb(&mut self, other: &SolverStats) {
+        self.warm_hits += other.warm_hits;
+        self.cold_solves += other.cold_solves;
+        self.totals.absorb(&other.totals);
+    }
 }
 
 /// A thread-safe cache of phase-1 feasible bases, keyed by constraint
@@ -53,13 +67,10 @@ pub struct ContextStats {
 #[derive(Debug, Default)]
 pub struct SolveContext {
     bases: Mutex<HashMap<SolveKey, Arc<WarmBasis>>>,
-    warm_hits: AtomicU64,
-    cold_solves: AtomicU64,
-    /// Per-solve effort counters summed over every solve served through
-    /// this context (pivots, certified fast solves, fallbacks…) — the
-    /// one place a mixed engine/static-path workload can read its whole
-    /// solver bill.
-    totals: Mutex<SolveStats>,
+    /// Every solve served through this context, counted and summed —
+    /// the one place a mixed engine/static-path workload can read its
+    /// whole solver bill.
+    stats: Mutex<SolverStats>,
 }
 
 impl SolveContext {
@@ -69,22 +80,12 @@ impl SolveContext {
         SolveContext::default()
     }
 
-    /// Counters so far.
-    #[must_use]
-    pub fn stats(&self) -> ContextStats {
-        ContextStats {
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            cold_solves: self.cold_solves.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Summed per-solve effort counters of every solve served through
-    /// this context. Lock poisoning is recovered from: the critical
+    /// Counters so far. Lock poisoning is recovered from: the critical
     /// sections here are pure reads and absorbs, so a (supervised)
-    /// panicking solver thread cannot leave the totals inconsistent.
+    /// panicking solver thread cannot leave the counters inconsistent.
     #[must_use]
-    pub fn totals(&self) -> SolveStats {
-        *lock_ok(&self.totals)
+    pub fn stats(&self) -> SolverStats {
+        *lock_ok(&self.stats)
     }
 
     fn cached(&self, key: SolveKey) -> Option<Arc<WarmBasis>> {
@@ -104,12 +105,14 @@ impl SolveContext {
         feasible: Option<WarmBasis>,
         stats: &SolveStats,
     ) {
-        lock_ok(&self.totals).absorb(stats);
+        lock_ok(&self.stats).absorb(&SolverStats {
+            warm_hits: u64::from(warm_used),
+            cold_solves: u64::from(!warm_used),
+            totals: *stats,
+        });
         if warm_used {
-            self.warm_hits.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.cold_solves.fetch_add(1, Ordering::Relaxed);
         if let Some(basis) = feasible {
             lock_ok(&self.bases)
                 .entry(key)

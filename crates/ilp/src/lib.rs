@@ -55,7 +55,7 @@ pub mod rational;
 pub mod simplex;
 
 pub use branch_bound::{solve_ilp, IlpConfig, IlpError, IlpStats};
-pub use context::{ContextStats, SolveContext, SolveKey};
+pub use context::{SolveContext, SolveKey, SolverStats};
 pub use dag::{longest_path, CycleError};
 #[cfg(feature = "dense")]
 pub use dense::solve_lp_dense;

@@ -61,8 +61,8 @@ impl<T: Copy + Default> Arena<T> {
     }
 
     /// Allocates `len` elements, default-filled, by bumping the top
-    /// pointer. Grows the backing store only when the high-water mark
-    /// rises; steady-state allocation is a bump plus a fill.
+    /// pointer. Grows the backing store only when the slab ends past
+    /// it; steady-state allocation is a bump plus a fill.
     pub fn alloc_zeroed(&mut self, len: usize) -> Slab {
         let start = self.top;
         let end = start + len;
@@ -98,10 +98,12 @@ impl<T: Copy + Default> Arena<T> {
     /// into already-owned memory.
     pub fn reset(&mut self) {
         self.top = 0;
+        self.high_water = 0;
         self.resets += 1;
     }
 
-    /// Peak bytes ever live at once (backing-store footprint).
+    /// Peak bytes live at once since the last [`Arena::reset`] (this
+    /// analysis' footprint; the backing store may be larger).
     #[must_use]
     pub fn high_water_bytes(&self) -> u64 {
         (self.high_water * std::mem::size_of::<T>()) as u64

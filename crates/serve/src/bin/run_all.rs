@@ -14,6 +14,7 @@ use std::panic::catch_unwind;
 use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use wcet_bench::counters::Counters;
 use wcet_bench::experiments::{ExperimentRun, EXPERIMENTS};
 use wcet_bench::json::Json;
 use wcet_bench::load::load_json;
@@ -22,9 +23,8 @@ use wcet_bench::scenario::{
     CampaignRun,
 };
 use wcet_bench::{comparison_workload, l2_bound_machine, l2_bound_victim, machine};
-use wcet_bench::{fixpoint_json, skip_json};
 use wcet_core::analyzer::Analyzer;
-use wcet_core::engine::{AnalysisEngine, Job, SolverStats};
+use wcet_core::engine::{AnalysisEngine, Job};
 use wcet_core::mode::{Footprint, Isolated, JointRefs};
 use wcet_ir::synth::{matmul, Placement};
 use wcet_serve::{CellBounds, Client, LoadConfig, Response, ServerConfig};
@@ -43,27 +43,6 @@ fn rows_json(run: &ExperimentRun) -> Json {
             })
             .collect(),
     )
-}
-
-fn solver_json(s: &SolverStats) -> Json {
-    Json::obj([
-        ("warm_hits", Json::from(s.warm_hits)),
-        ("cold_solves", Json::from(s.cold_solves)),
-        ("pivots", Json::from(s.totals.pivots)),
-        ("phase1_pivots", Json::from(s.totals.phase1_pivots)),
-        ("dual_pivots", Json::from(s.totals.dual_pivots)),
-        ("bland_pivots", Json::from(s.totals.bland_pivots)),
-        ("warm_starts", Json::from(s.totals.warm_starts)),
-        ("phase1_skips", Json::from(s.totals.phase1_skips)),
-        ("refactorizations", Json::from(s.totals.refactorizations)),
-        // Schema 4: the two-tier kernel's counters. `fallbacks` is the
-        // exactness watchdog — certified f64 solves that the exact
-        // referee rejected and re-ran on the exact tier.
-        ("f64_solves", Json::from(s.totals.f64_solves)),
-        ("certified", Json::from(s.totals.certified)),
-        ("fallbacks", Json::from(s.totals.fallbacks)),
-        ("eta_factors", Json::from(s.totals.eta_factors)),
-    ])
 }
 
 /// Re-runs the E02a k-sweep twice — cold per solve (sequential
@@ -110,7 +89,7 @@ fn solver_warm_vs_cold() -> Json {
         ("cold_pivots", Json::from(cold_pivots)),
         ("warm_pivots", Json::from(warm.totals.pivots)),
         ("identical_wcets", Json::from(identical)),
-        ("warm", solver_json(&warm)),
+        ("warm", warm.to_json()),
     ])
 }
 
@@ -433,15 +412,7 @@ fn serve_bench() -> Json {
         ("identical_bounds", Json::from(identical)),
         ("evictions", Json::from(total.evictions())),
         ("memo_entries", Json::from(cumulative.memo_entries)),
-        (
-            "memo_total",
-            Json::obj([
-                ("hits", Json::from(total.hits())),
-                ("bound_hits", Json::from(total.bound_hits)),
-                ("bound_misses", Json::from(total.bound_misses)),
-                ("neighbor_hits", Json::from(total.neighbor_hits)),
-            ]),
-        ),
+        ("memo_total", total.to_json()),
         (
             "solver",
             Json::obj([
@@ -574,8 +545,8 @@ fn batch_vs_sequential() -> Json {
         ("batch_ms", Json::from(batch_ms)),
         ("speedup", speedup.map_or(Json::Null, Json::from)),
         ("identical_results", Json::from(identical)),
-        ("solver", solver_json(&engine.solver_stats())),
-        ("fixpoint", fixpoint_json(&engine.fixpoint_stats())),
+        ("solver", engine.solver_stats().to_json()),
+        ("fixpoint", engine.fixpoint_stats().to_json()),
     ])
 }
 
@@ -596,10 +567,10 @@ fn experiment_json(run: &ExperimentRun, ok: bool, wall_ms: f64) -> Json {
         ("ok", Json::from(ok)),
         ("wall_ms", Json::from(wall_ms)),
         ("rows", rows_json(run)),
-        ("solver", solver_json(&run.solver)),
+        ("solver", run.solver.to_json()),
         // Schema 5: fixpoint + event-skipping effort.
-        ("fixpoint", fixpoint_json(&run.fixpoint)),
-        ("sim_skip", skip_json(&run.sim_skip)),
+        ("fixpoint", run.fixpoint.to_json()),
+        ("sim_skip", run.sim_skip.to_json()),
     ])
 }
 
@@ -665,8 +636,8 @@ fn main() -> Result<(), Failed> {
     let load = serving_pass("load", load_bench, &mut failed);
 
     let doc = Json::obj([
-        // Schema 11: every experiment carries rows and effort blocks.
-        ("schema", Json::from(11_u64)),
+        // Schema 12: every counter block is a full `Counters` block.
+        ("schema", Json::from(12_u64)),
         ("suite", Json::str("wcet-bench run_all")),
         (
             "total_ms",

@@ -3,9 +3,11 @@
 //! The wire format is deliberately boring: every payload is one JSON
 //! object carrying a `schema` version, and every response says `ok`
 //! up-front so clients can branch before looking at the rest. Encoding
-//! reuses the bench crate's dependency-free [`Json`] writer/parser — the
-//! server introduces no new serialization machinery.
+//! reuses the bench crate's dependency-free [`Json`] writer/parser and
+//! its [`Counters`] codec for the memo blocks — the server introduces no
+//! new serialization machinery.
 
+use wcet_bench::counters::Counters;
 use wcet_bench::json::Json;
 use wcet_bench::scenario::run::TaskBound;
 use wcet_bench::scenario::{CellOutcome, FailureKind};
@@ -400,43 +402,6 @@ pub enum Response {
     Error(ServeError),
 }
 
-fn memo_json(m: &MemoStats) -> Json {
-    Json::obj([
-        ("hierarchy_hits", Json::from(m.hierarchy_hits)),
-        ("hierarchy_misses", Json::from(m.hierarchy_misses)),
-        ("l1_hits", Json::from(m.l1_hits)),
-        ("l1_misses", Json::from(m.l1_misses)),
-        ("cost_hits", Json::from(m.cost_hits)),
-        ("cost_misses", Json::from(m.cost_misses)),
-        ("bound_hits", Json::from(m.bound_hits)),
-        ("bound_misses", Json::from(m.bound_misses)),
-        ("hierarchy_evictions", Json::from(m.hierarchy_evictions)),
-        ("l1_evictions", Json::from(m.l1_evictions)),
-        ("cost_evictions", Json::from(m.cost_evictions)),
-        ("bound_evictions", Json::from(m.bound_evictions)),
-        ("neighbor_hits", Json::from(m.neighbor_hits)),
-    ])
-}
-
-fn memo_from(j: &Json) -> Option<MemoStats> {
-    let field = |k: &str| j.get(k).and_then(Json::as_u64);
-    Some(MemoStats {
-        hierarchy_hits: field("hierarchy_hits")?,
-        hierarchy_misses: field("hierarchy_misses")?,
-        l1_hits: field("l1_hits")?,
-        l1_misses: field("l1_misses")?,
-        cost_hits: field("cost_hits")?,
-        cost_misses: field("cost_misses")?,
-        bound_hits: field("bound_hits")?,
-        bound_misses: field("bound_misses")?,
-        hierarchy_evictions: field("hierarchy_evictions")?,
-        l1_evictions: field("l1_evictions")?,
-        cost_evictions: field("cost_evictions")?,
-        bound_evictions: field("bound_evictions")?,
-        neighbor_hits: field("neighbor_hits")?,
-    })
-}
-
 fn fingerprint_json(fp: (u64, u64)) -> Json {
     Json::Arr(vec![Json::from(fp.0), Json::from(fp.1)])
 }
@@ -506,8 +471,8 @@ fn cell_from(j: &Json) -> Option<CellBounds> {
 
 fn request_stats_json(s: &RequestStats) -> Json {
     Json::obj([
-        ("memo", memo_json(&s.memo)),
-        ("memo_total", memo_json(&s.memo_total)),
+        ("memo", s.memo.to_json()),
+        ("memo_total", s.memo_total.to_json()),
         ("solver_warm_hits", Json::from(s.solver_warm_hits)),
         ("solver_cold_solves", Json::from(s.solver_cold_solves)),
         ("solver_pivots", Json::from(s.solver_pivots)),
@@ -517,8 +482,8 @@ fn request_stats_json(s: &RequestStats) -> Json {
 
 fn request_stats_from(j: &Json) -> Option<RequestStats> {
     Some(RequestStats {
-        memo: j.get("memo").and_then(memo_from)?,
-        memo_total: j.get("memo_total").and_then(memo_from)?,
+        memo: MemoStats::from_json(j.get("memo")?)?,
+        memo_total: MemoStats::from_json(j.get("memo_total")?)?,
         solver_warm_hits: j.get("solver_warm_hits").and_then(Json::as_u64)?,
         solver_cold_solves: j.get("solver_cold_solves").and_then(Json::as_u64)?,
         solver_pivots: j.get("solver_pivots").and_then(Json::as_u64)?,
@@ -560,7 +525,7 @@ impl Response {
                 ("ok", Json::from(true)),
                 ("kind", Json::str("stats")),
                 ("requests", Json::from(s.requests)),
-                ("memo", memo_json(&s.memo)),
+                ("memo", s.memo.to_json()),
                 ("memo_entries", Json::from(s.memo_entries)),
                 ("memo_budget", s.memo_budget.map_or(Json::Null, Json::from)),
                 ("disk_hits", Json::from(s.disk_hits)),
@@ -673,7 +638,7 @@ impl Response {
                     requests: field("requests")?,
                     memo: doc
                         .get("memo")
-                        .and_then(memo_from)
+                        .and_then(MemoStats::from_json)
                         .ok_or_else(|| "stats response with a malformed memo".to_string())?,
                     memo_entries: field("memo_entries")?,
                     memo_budget: doc.get("memo_budget").and_then(Json::as_u64),
@@ -768,9 +733,8 @@ mod tests {
         assert!(Request::decode(missing_spec).is_err());
     }
 
-    #[test]
-    fn responses_round_trip() {
-        let bounds = Response::Bounds(BoundsResponse {
+    fn bounds_fixture() -> Response {
+        Response::Bounds(BoundsResponse {
             matrix: "example".to_string(),
             cells: vec![CellBounds {
                 cell: "example#0".to_string(),
@@ -810,10 +774,17 @@ mod tests {
                 solver_pivots: 100,
                 fixpoint_evaluated: 5_000,
             },
-        });
-        let stats = Response::Stats(StatsResponse {
+        })
+    }
+
+    fn stats_fixture() -> Response {
+        Response::Stats(StatsResponse {
             requests: 3,
-            memo: MemoStats::default(),
+            memo: MemoStats {
+                l1_hits: 6,
+                neighbor_hits: 2,
+                ..MemoStats::default()
+            },
             memo_entries: 12,
             memo_budget: Some(64),
             disk_hits: 0,
@@ -823,7 +794,12 @@ mod tests {
             shed: 9,
             deadline_errors: 1,
             budget_errors: 2,
-        });
+        })
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        let (bounds, stats) = (bounds_fixture(), stats_fixture());
         let shutdown = Response::Shutdown { flushed: 24 };
         let error = Response::Error(ServeError {
             kind: ErrorKind::Protocol,
@@ -840,6 +816,18 @@ mod tests {
         for resp in [bounds, stats, shutdown, error, deadline, overloaded] {
             let decoded = Response::decode(&resp.encode()).expect("decodes");
             assert_eq!(decoded, resp);
+        }
+    }
+
+    /// The round trip above still passes if encode and decode rename a
+    /// key together; the frame bytes pinned here do not.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        const BOUNDS: &str = r#"{"cells":[{"cell":"example#0","error":null,"fp":[18446744073709551615,7],"rows":[{"core":0,"mode":"isolated","task":"fir","thread":0,"wcet":12345},{"core":1,"error":"unplaceable","mode":"isolated","task":"crc","thread":0}]}],"disk_hits":1,"duplicates":2,"kind":"bounds","matrix":"example","ok":true,"schema":1,"stats":{"fixpoint_evaluated":5000,"memo":{"bound_evictions":0,"bound_hits":0,"bound_misses":1,"cost_evictions":0,"cost_hits":0,"cost_misses":0,"hierarchy_evictions":0,"hierarchy_hits":3,"hierarchy_misses":0,"l1_evictions":0,"l1_hits":0,"l1_misses":0,"neighbor_hits":0},"memo_total":{"bound_evictions":0,"bound_hits":0,"bound_misses":0,"cost_evictions":0,"cost_hits":0,"cost_misses":0,"hierarchy_evictions":0,"hierarchy_hits":9,"hierarchy_misses":0,"l1_evictions":0,"l1_hits":0,"l1_misses":0,"neighbor_hits":0},"solver_cold_solves":2,"solver_pivots":100,"solver_warm_hits":4}}"#;
+        const STATS: &str = r#"{"budget_errors":2,"deadline_errors":1,"disk_hits":0,"kind":"stats","memo":{"bound_evictions":0,"bound_hits":0,"bound_misses":0,"cost_evictions":0,"cost_hits":0,"cost_misses":0,"hierarchy_evictions":0,"hierarchy_hits":0,"hierarchy_misses":0,"l1_evictions":0,"l1_hits":6,"l1_misses":0,"neighbor_hits":2},"memo_budget":64,"memo_entries":12,"ok":true,"queue_depth":4,"requests":3,"schema":1,"shed":9,"solver_cold_solves":2,"solver_warm_hits":1}"#;
+        for (resp, frame) in [(bounds_fixture(), BOUNDS), (stats_fixture(), STATS)] {
+            assert_eq!(resp.encode(), frame);
+            assert_eq!(Response::decode(frame).expect("decodes"), resp);
         }
     }
 

@@ -461,7 +461,6 @@ fn submit(
     let memo_before = state.memo.stats();
     let fix_before = state.memo.fixpoint_stats();
     let ctx_before = state.ctx.stats();
-    let pivots_before = state.ctx.totals().pivots;
 
     // One worker — this thread — and every cell kept in expansion
     // order. The request's limits become the runner's per-cell budgets
@@ -508,7 +507,10 @@ fn submit(
         memo_total,
         solver_warm_hits: ctx_after.warm_hits.saturating_sub(ctx_before.warm_hits),
         solver_cold_solves: ctx_after.cold_solves.saturating_sub(ctx_before.cold_solves),
-        solver_pivots: state.ctx.totals().pivots.saturating_sub(pivots_before),
+        solver_pivots: ctx_after
+            .totals
+            .pivots
+            .saturating_sub(ctx_before.totals.pivots),
         fixpoint_evaluated: state
             .memo
             .fixpoint_stats()
