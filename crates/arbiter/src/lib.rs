@@ -217,6 +217,12 @@ impl ArbiterKind {
     }
 }
 
+/// The largest cycle count a spec may give a slot, a window, a transfer
+/// or a memory latency. Spec values enter `u64` timing arithmetic
+/// unchecked, and bounds are sums and products of them, so the cap keeps
+/// every bound far from overflow.
+pub const MAX_SPEC_CYCLES: u64 = 1 << 20;
+
 /// Error from parsing an [`ArbiterKind`] spec string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArbiterSpecError(String);
@@ -226,7 +232,7 @@ impl std::fmt::Display for ArbiterSpecError {
         write!(
             f,
             "bad arbiter spec {:?}: expected rr | tdma:SLOT | tdma-table:O@LEN,… | \
-             mbba:W1-W2-…@SLOT | fp:HRT | wheel:WINDOW",
+             mbba:W1-W2-…@SLOT | fp:HRT | wheel:WINDOW, with lengths in 1..={MAX_SPEC_CYCLES}",
             self.0
         )
     }
@@ -254,10 +260,12 @@ impl std::str::FromStr for ArbiterKind {
             None => (s.trim(), None),
         };
         let num = |a: Option<&str>| a.and_then(|a| a.parse::<u64>().ok()).ok_or_else(bad);
-        // Slot-table lengths must be positive, or the arbiter
-        // constructors reject them; specs are user input, so catch it
-        // here as a parse error rather than a later panic.
-        let positive = |a: Option<&str>| num(a).ok().filter(|&n| n > 0).ok_or_else(bad);
+        // Slot and window lengths must be positive, or the arbiter
+        // constructors reject them, and at most `MAX_SPEC_CYCLES`; specs
+        // are user input, so catch it here as a parse error rather than
+        // a later panic or a wrapped bound.
+        let length = |n: &u64| (1..=MAX_SPEC_CYCLES).contains(n);
+        let positive = |a: Option<&str>| num(a).ok().filter(length).ok_or_else(bad);
         match head {
             "rr" | "round_robin" => match arg {
                 None => Ok(ArbiterKind::RoundRobin),
@@ -273,7 +281,7 @@ impl std::str::FromStr for ArbiterKind {
                     .map(|s| {
                         let (owner, len) = s.trim().split_once('@')?;
                         let owner = owner.trim().parse::<usize>().ok()?;
-                        let len = len.trim().parse::<u64>().ok().filter(|&l| l > 0)?;
+                        let len = len.trim().parse::<u64>().ok().filter(length)?;
                         Some((owner, len))
                     })
                     .collect::<Option<Vec<(usize, u64)>>>()
@@ -357,6 +365,12 @@ mod tests {
             "tdma-table:",
             "tdma-table:0@0",
             "tdma-table:x@8",
+            // Lengths above `MAX_SPEC_CYCLES` would wrap the bounds.
+            "tdma:1048577",
+            "tdma:9223372036854775807",
+            "tdma-table:0@8,1@1048577",
+            "mbba:1-1@1048577",
+            "wheel:18446744073709551615",
         ] {
             assert!(
                 bad.parse::<ArbiterKind>().is_err(),

@@ -156,10 +156,9 @@ impl Tdma {
     /// issue offsets.
     #[must_use]
     pub fn worst_delay(&self, requester: usize, transfer_len: u64) -> Option<u64> {
-        (0..self.period)
-            .map(|off| self.delay_at_offset(requester, off, transfer_len))
-            .collect::<Option<Vec<u64>>>()
-            .map(|v| v.into_iter().max().unwrap_or(0))
+        (0..self.period).try_fold(0, |worst: u64, off| {
+            Some(worst.max(self.delay_at_offset(requester, off, transfer_len)?))
+        })
     }
 }
 

@@ -19,8 +19,8 @@
 //!   campaigns resume;
 //! * [`fault`] — the deterministic fault-injection plan driving the
 //!   supervision test suite (inert without the `fault-inject` feature);
-//! * [`report`] — the structured JSON report and the rendered Markdown
-//!   table.
+//! * [`report`] — one JSON document and one rendered Markdown document
+//!   per run: its totals, plus every cell when the run kept them.
 //!
 //! The `wcet` binary (`wcet scenarios list|run|validate|report`) is the
 //! CLI over this module; `exp02`/`exp05`/`exp08` are thin wrappers over
@@ -35,7 +35,7 @@ pub mod stream;
 
 pub use cache::{CachedRow, DiskCache};
 pub use fault::FaultPlan;
-pub use report::{campaign_json, campaign_markdown, matrix_json, matrix_markdown};
+pub use report::{run_json, run_markdown};
 pub use run::{CellFailure, CellOutcome, FailureKind, TaskRow};
 pub use spec::{parse_matrix, L2Layout, ModeSpec, Scenario, ScenarioMatrix, SpecError};
 pub use stream::{run_campaign, run_campaign_with, CampaignOptions, CampaignRun, CellBudget};

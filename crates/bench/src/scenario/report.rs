@@ -1,8 +1,8 @@
-//! Structured reporting of a run: for a materialized run (cells kept),
-//! a machine-readable JSON document (`wcet scenarios` schema 3) and a
-//! rendered Markdown table of every cell — plus the compact summary
-//! forms of a streaming campaign, whose cells are not retained, so only
-//! aggregates are reported.
+//! Structured reporting of a run: one machine-readable JSON document
+//! (`wcet scenarios` schema 4) and one rendered Markdown document. Both
+//! always carry the run's totals, and add every cell — failed ones
+//! included — when the run kept its cells
+//! ([`super::CampaignOptions::keep_cells`]).
 
 use wcet_core::report::Table;
 use wcet_core::validate::Observation;
@@ -12,9 +12,10 @@ use super::stream::CampaignRun;
 use crate::counters::Counters;
 use crate::json::Json;
 
-/// The JSON schema version of [`matrix_json`] and [`campaign_json`]
-/// documents (3: every counter block is a full [`Counters`] block).
-pub const SCHEMA: u64 = 3;
+/// The JSON schema version of [`run_json`] documents (4: one document
+/// for every run, with `cells` when kept and a `failure` object on each
+/// failed cell).
+pub const SCHEMA: u64 = 4;
 
 fn fingerprint_hex(fp: (u64, u64)) -> String {
     format!("{:016x}{:016x}", fp.0, fp.1)
@@ -65,7 +66,7 @@ fn cell_json(cell: &CellOutcome) -> Json {
         ]),
         None => Json::Null,
     };
-    Json::obj([
+    let mut pairs = vec![
         ("name", Json::str(&scn.name)),
         ("fingerprint", Json::str(fingerprint_hex(cell.fingerprint))),
         ("cores", Json::from(scn.cores)),
@@ -97,51 +98,128 @@ fn cell_json(cell: &CellOutcome) -> Json {
                 .as_ref()
                 .map_or(Json::Null, Json::str),
         ),
-    ])
+    ];
+    // Present only on a failed cell, so every other cell keeps its bytes.
+    if let Some(f) = &cell.failure {
+        pairs.push((
+            "failure",
+            Json::obj([
+                ("kind", Json::str(f.kind.to_string())),
+                ("message", Json::str(&f.message)),
+                ("retries", Json::from(u64::from(f.retries))),
+            ]),
+        ));
+    }
+    Json::obj(pairs)
 }
 
-/// Serializes a materialized run ([`super::CampaignOptions::keep_cells`])
-/// as the `wcet scenarios` JSON document.
+/// Serializes a run as the `wcet scenarios` JSON document: the run's
+/// totals and effort counters, plus `cells` (in expansion order) when
+/// the run kept any.
 #[must_use]
-pub fn matrix_json(run: &CampaignRun) -> Json {
-    Json::obj([
+pub fn run_json(run: &CampaignRun) -> Json {
+    let mut pairs = vec![
         ("schema", Json::from(SCHEMA)),
         ("suite", Json::str("wcet scenarios")),
         ("matrix", Json::str(&run.matrix)),
-        (
-            "cells",
-            Json::Arr(run.cells.iter().map(cell_json).collect()),
-        ),
-        ("cells_total", Json::from(run.cells.len())),
+        ("total_cells", Json::from(run.total_cells)),
+        ("produced", Json::from(run.produced)),
+        ("unique", Json::from(run.unique)),
         ("duplicates", Json::from(run.duplicates)),
+        ("errors", Json::from(run.errors)),
+        ("bounded", Json::from(run.bounded)),
+        ("rows_reused", Json::from(run.rows_reused)),
+        ("disk_hits", Json::from(run.disk_hits)),
+        ("disk_appended", Json::from(run.disk_appended)),
+        ("disk_skipped", Json::from(run.disk_skipped)),
+        ("disk_crc_rejected", Json::from(run.disk_crc_rejected)),
+        // Supervision aggregates: cells that failed under the per-cell
+        // fault boundary, cold retries spent recovering from neighbour
+        // state, whether the campaign deadline fired, and how many
+        // odometer positions a `--resume` fast-forwarded past.
+        ("failures", Json::from(run.failures)),
+        ("retries", Json::from(run.retries)),
+        ("deadline_hit", Json::from(run.deadline_hit)),
+        ("resumed", Json::from(run.resumed)),
         ("validated_cells", Json::from(run.validated)),
         ("sound_cells", Json::from(run.sound)),
+        (
+            "violations",
+            Json::Arr(run.violations.iter().map(Json::str).collect()),
+        ),
+        ("wall_ms", Json::from(run.wall.as_millis() as u64)),
+        ("cells_per_sec", Json::from(run.cells_per_sec())),
+        ("memo", run.memo.to_json()),
         ("solver", run.solver.to_json()),
-        // Schema 2: iteration effort — worklist fixpoint vs the naive
-        // sweep it replaced, and the validation replays' skipped cycles.
         ("fixpoint", run.fixpoint.to_json()),
         ("sim_skip", run.sim_skip.to_json()),
-    ])
+    ];
+    if !run.cells.is_empty() {
+        pairs.push((
+            "cells",
+            Json::Arr(run.cells.iter().map(cell_json).collect()),
+        ));
+    }
+    Json::obj(pairs)
 }
 
-/// Renders a materialized run as a Markdown document: a summary
-/// key/value table plus one row per (cell, task).
+/// Renders a run as Markdown: a key/value summary of its totals, plus
+/// one row per (cell, task) when the run kept its cells. A cell that
+/// failed to build or failed under supervision gets one row saying so.
 #[must_use]
-pub fn matrix_markdown(run: &CampaignRun) -> String {
+pub fn run_markdown(run: &CampaignRun) -> String {
     let summary = Table::kv(
-        format!("Scenario matrix `{}` — summary", run.matrix),
+        format!("Campaign `{}` — summary", run.matrix),
         [
-            ("cells", run.cells.len().to_string()),
+            ("cross-product cells", run.total_cells.to_string()),
+            ("produced (after --limit)", run.produced.to_string()),
+            ("unique analysed/served", run.unique.to_string()),
             ("duplicates removed", run.duplicates.to_string()),
+            ("errors", run.errors.to_string()),
+            ("fully bounded", run.bounded.to_string()),
+            ("neighbour row reuses", run.rows_reused.to_string()),
+            (
+                "neighbour fixpoint hits",
+                run.memo.neighbor_hits.to_string(),
+            ),
+            ("disk-cache hits", run.disk_hits.to_string()),
+            ("disk-cache appended", run.disk_appended.to_string()),
+            (
+                "disk-cache rejected (parse/CRC)",
+                format!("{}/{}", run.disk_skipped, run.disk_crc_rejected),
+            ),
+            ("cell failures", run.failures.to_string()),
+            ("cold retries", run.retries.to_string()),
+            ("resumed past", format!("{} positions", run.resumed)),
             ("validated", run.validated.to_string()),
             ("sound", format!("{}/{}", run.sound, run.validated)),
+            ("wall", format!("{:.2}s", run.wall.as_secs_f64())),
+            ("throughput", format!("{:.0} cells/s", run.cells_per_sec())),
             (
                 "solver warm/cold",
                 format!("{}/{}", run.solver.warm_hits, run.solver.cold_solves),
             ),
         ],
     );
+    let mut out = summary.to_string();
+    if !run.cells.is_empty() {
+        out.push('\n');
+        out.push_str(&cell_table(run).to_string());
+    }
+    for v in &run.violations {
+        out.push_str(&format!("\nSOUNDNESS VIOLATION: {v}"));
+    }
+    if run.deadline_hit {
+        out.push_str("\ndeadline hit: campaign stopped early; rerun with --resume");
+    }
+    if let Some(e) = &run.cache_error {
+        out.push_str(&format!("\ncache write-back failed: {e}"));
+    }
+    out
+}
 
+/// The kept cells of a run, one row per (cell, task).
+fn cell_table(run: &CampaignRun) -> Table {
     let mut t = Table::new(
         format!("Scenario matrix `{}` — cells", run.matrix),
         &[
@@ -169,13 +247,18 @@ pub fn matrix_markdown(run: &CampaignRun) -> String {
                 None => "none".into(),
             },
         );
-        if let Some(e) = &cell.error {
+        let whole_cell = match (&cell.error, &cell.failure) {
+            (Some(e), _) => Some(format!("error: {e}")),
+            (None, Some(f)) => Some(format!("failed({}): {}", f.kind, f.message)),
+            (None, None) => None,
+        };
+        if let Some(outcome) = whole_cell {
             t.row([
                 scn.name.clone(),
                 machine,
                 scn.mode.label(),
                 "—".into(),
-                format!("error: {e}"),
+                outcome,
                 "—".into(),
                 "—".into(),
                 "—".into(),
@@ -225,156 +308,90 @@ pub fn matrix_markdown(run: &CampaignRun) -> String {
             violation.scenario.summary()
         ));
     }
-    format!("{summary}\n{t}")
-}
-
-/// Serializes a streaming campaign's aggregates (per-cell rows stream
-/// through `wcet scenarios run`'s stdout instead — a million-cell
-/// document would defeat the point of streaming).
-#[must_use]
-pub fn campaign_json(run: &CampaignRun) -> Json {
-    Json::obj([
-        ("schema", Json::from(SCHEMA)),
-        ("suite", Json::str("wcet scenarios campaign")),
-        ("matrix", Json::str(&run.matrix)),
-        ("total_cells", Json::from(run.total_cells)),
-        ("produced", Json::from(run.produced)),
-        ("unique", Json::from(run.unique)),
-        ("duplicates", Json::from(run.duplicates)),
-        ("errors", Json::from(run.errors)),
-        ("bounded", Json::from(run.bounded)),
-        ("rows_reused", Json::from(run.rows_reused)),
-        ("disk_hits", Json::from(run.disk_hits)),
-        ("disk_appended", Json::from(run.disk_appended)),
-        ("disk_skipped", Json::from(run.disk_skipped)),
-        ("disk_crc_rejected", Json::from(run.disk_crc_rejected)),
-        // Supervision aggregates: cells that failed under the per-cell
-        // fault boundary, cold retries spent recovering from neighbour
-        // state, whether the campaign deadline fired, and how many
-        // odometer positions a `--resume` fast-forwarded past.
-        ("failures", Json::from(run.failures)),
-        ("retries", Json::from(run.retries)),
-        ("deadline_hit", Json::from(run.deadline_hit)),
-        ("resumed", Json::from(run.resumed)),
-        ("validated_cells", Json::from(run.validated)),
-        ("sound_cells", Json::from(run.sound)),
-        (
-            "violations",
-            Json::Arr(run.violations.iter().map(Json::str).collect()),
-        ),
-        ("wall_ms", Json::from(run.wall.as_millis() as u64)),
-        ("cells_per_sec", Json::from(run.cells_per_sec())),
-        ("memo", run.memo.to_json()),
-        ("solver", run.solver.to_json()),
-        ("fixpoint", run.fixpoint.to_json()),
-        ("sim_skip", run.sim_skip.to_json()),
-    ])
-}
-
-/// Renders a campaign's summary as a Markdown key/value table.
-#[must_use]
-pub fn campaign_markdown(run: &CampaignRun) -> String {
-    let summary = Table::kv(
-        format!("Campaign `{}` — summary", run.matrix),
-        [
-            ("cross-product cells", run.total_cells.to_string()),
-            ("produced (after --limit)", run.produced.to_string()),
-            ("unique analysed/served", run.unique.to_string()),
-            ("duplicates removed", run.duplicates.to_string()),
-            ("errors", run.errors.to_string()),
-            ("fully bounded", run.bounded.to_string()),
-            ("neighbour row reuses", run.rows_reused.to_string()),
-            (
-                "neighbour fixpoint hits",
-                run.memo.neighbor_hits.to_string(),
-            ),
-            ("disk-cache hits", run.disk_hits.to_string()),
-            ("disk-cache appended", run.disk_appended.to_string()),
-            (
-                "disk-cache rejected (parse/CRC)",
-                format!("{}/{}", run.disk_skipped, run.disk_crc_rejected),
-            ),
-            ("cell failures", run.failures.to_string()),
-            ("cold retries", run.retries.to_string()),
-            ("resumed past", format!("{} positions", run.resumed)),
-            ("validated (seeded sample)", run.validated.to_string()),
-            ("sound", format!("{}/{}", run.sound, run.validated)),
-            ("wall", format!("{:.2}s", run.wall.as_secs_f64())),
-            ("throughput", format!("{:.0} cells/s", run.cells_per_sec())),
-            (
-                "solver warm/cold",
-                format!("{}/{}", run.solver.warm_hits, run.solver.cold_solves),
-            ),
-        ],
-    );
-    let mut out = summary.to_string();
-    for v in &run.violations {
-        out.push_str(&format!("\nSOUNDNESS VIOLATION: {v}"));
-    }
-    if run.deadline_hit {
-        out.push_str("\ndeadline hit: campaign stopped early; rerun with --resume");
-    }
-    if let Some(e) = &run.cache_error {
-        out.push_str(&format!("\ncache write-back failed: {e}"));
-    }
-    out
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::run::{CellFailure, FailureKind};
     use crate::scenario::spec::parse_matrix;
     use crate::scenario::stream::{run_campaign, CampaignOptions};
 
-    #[test]
-    fn json_and_markdown_render_a_small_run() {
+    fn tiny_run(keep_cells: bool) -> CampaignRun {
         let m = parse_matrix("name = tiny\nmode = [isolated, solo]\ntasks = fir:2x4\n")
             .expect("parses");
-        let run = run_campaign(
+        run_campaign(
             &m,
             &CampaignOptions {
-                threads: 1,
-                keep_cells: true,
+                keep_cells,
                 sample_one_in: 1,
                 ..CampaignOptions::default()
             },
-        );
+        )
+    }
+
+    #[test]
+    fn json_and_markdown_render_a_small_run() {
+        let run = tiny_run(true);
         assert_eq!(run.cells.len(), 2);
-        let doc = matrix_json(&run).to_string();
-        assert!(doc.contains("\"schema\":3"));
+        let doc = run_json(&run).to_string();
+        assert!(doc.contains("\"schema\":4"));
+        assert!(doc.contains("\"suite\":\"wcet scenarios\""));
         assert!(doc.contains("\"matrix\":\"tiny\""));
+        assert!(doc.contains("\"unique\":2"));
+        assert!(doc.contains("\"validated_cells\":2"));
         assert!(doc.contains("\"all_sound\":true"));
-        let md = matrix_markdown(&run);
+        assert!(!doc.contains("\"failure\""));
+        let md = run_markdown(&run);
+        assert!(md.contains("Campaign `tiny` — summary"));
         assert!(md.contains("Scenario matrix `tiny` — cells"));
         assert!(md.contains("isolated"));
         assert!(!md.contains("SOUNDNESS VIOLATION"));
     }
 
     #[test]
-    fn campaign_json_and_markdown_render() {
-        let m = parse_matrix("name = tiny\nmode = [isolated, solo]\ntasks = fir:2x4\n")
-            .expect("parses");
-        let run = run_campaign(
-            &m,
-            &CampaignOptions {
-                sample_one_in: 1,
-                ..CampaignOptions::default()
-            },
-        );
+    fn a_streamed_run_renders_its_totals_only() {
+        let run = tiny_run(false);
         assert_eq!(run.unique, 2);
-        let doc = campaign_json(&run).to_string();
-        assert!(doc.contains("\"suite\":\"wcet scenarios campaign\""));
-        assert!(doc.contains("\"matrix\":\"tiny\""));
-        assert!(doc.contains("\"unique\":2"));
-        assert!(doc.contains("\"failures\":0"));
-        assert!(doc.contains("\"retries\":0"));
-        assert!(doc.contains("\"deadline_hit\":false"));
-        assert!(doc.contains("\"resumed\":0"));
-        assert!(doc.contains("\"disk_crc_rejected\":0"));
-        let md = campaign_markdown(&run);
-        assert!(md.contains("Campaign `tiny` — summary"));
+        let doc = run_json(&run);
+        assert_eq!(doc.get("cells"), None);
+        let text = doc.to_string();
+        assert!(text.contains("\"failures\":0"));
+        assert!(text.contains("\"retries\":0"));
+        assert!(text.contains("\"deadline_hit\":false"));
+        assert!(text.contains("\"resumed\":0"));
+        assert!(text.contains("\"disk_crc_rejected\":0"));
+        let md = run_markdown(&run);
         assert!(md.contains("cell failures"));
+        assert!(!md.contains("— cells"));
         assert!(!md.contains("deadline hit"));
-        assert!(!md.contains("SOUNDNESS VIOLATION"));
+    }
+
+    #[test]
+    fn a_failed_cell_shows_in_both_documents() {
+        let mut run = tiny_run(true);
+        let failed = &mut run.cells[1];
+        failed.rows.clear();
+        failed.validation = None;
+        failed.failure = Some(CellFailure {
+            kind: FailureKind::Panic,
+            message: "attempt to add with overflow".into(),
+            retries: 1,
+        });
+        let doc = run_json(&run);
+        let cells = doc.get("cells").and_then(Json::as_arr).expect("kept cells");
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells[0].get("failure"), None);
+        assert_eq!(
+            cells[1].get("failure").map(ToString::to_string).as_deref(),
+            Some(r#"{"kind":"panic","message":"attempt to add with overflow","retries":1}"#)
+        );
+        let md = run_markdown(&run);
+        let row = md.lines().find(|l| l.starts_with("| tiny#001 "));
+        assert!(
+            row.is_some_and(|l| l.contains("failed(panic): attempt to add with overflow")),
+            "{md}"
+        );
     }
 }

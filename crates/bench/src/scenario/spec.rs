@@ -19,8 +19,8 @@
 //! | `cores` | core count | positive integer |
 //! | `smt` | hardware threads per core | `none` (scalar cores) or a thread count |
 //! | `arbiter` | bus arbitration | [`ArbiterKind`] spec: `rr`, `tdma:SLOT`, `mbba:W1-W2-…@SLOT`, `fp:HRT`, `wheel:WINDOW` |
-//! | `transfer` | bus cycles per line transfer | positive integer |
-//! | `mem_latency` | predictable-memory latency | integer |
+//! | `transfer` | bus cycles per line transfer | positive integer, at most [`MAX_SPEC_CYCLES`] |
+//! | `mem_latency` | predictable-memory latency | integer, at most [`MAX_SPEC_CYCLES`] |
 //! | `l1i`, `l1d` | private L1 geometries | [`CacheConfig`] spec `SETSxWAYSxLINE@LAT` |
 //! | `l2_geom` | shared L2 geometry | [`CacheConfig`] spec |
 //! | `l2` | shared-L2 layout | `shared`, `partitioned`, `locked:WAYS`, `bypass`, `none` |
@@ -31,7 +31,7 @@
 
 use std::fmt;
 
-use wcet_arbiter::ArbiterKind;
+use wcet_arbiter::{ArbiterKind, MAX_SPEC_CYCLES};
 use wcet_cache::config::CacheConfig;
 
 /// Spec-file parse or expansion failure.
@@ -560,6 +560,14 @@ pub fn parse_matrix(src: &str) -> Result<ScenarioMatrix, SpecError> {
                 .filter(|&n| n > 0)
                 .ok_or("expected a positive integer")
         };
+        // Cycle values enter the `u64` timing arithmetic unchecked, so
+        // they are capped where they enter.
+        let cycles = |v: &str, least: u64| {
+            v.parse::<u64>()
+                .ok()
+                .filter(|n| (least..=MAX_SPEC_CYCLES).contains(n))
+                .ok_or_else(|| format!("expected an integer in {least}..={MAX_SPEC_CYCLES}"))
+        };
         match b.key.as_str() {
             "name" => {
                 if b.is_list {
@@ -576,11 +584,9 @@ pub fn parse_matrix(src: &str) -> Result<ScenarioMatrix, SpecError> {
             "arbiter" => {
                 m.arbiter = parse_axis("arbiter", &b.values, str::parse::<ArbiterKind>)?;
             }
-            "transfer" => m.transfer = parse_axis("transfer", &b.values, positive_u64)?,
+            "transfer" => m.transfer = parse_axis("transfer", &b.values, |v| cycles(v, 1))?,
             "mem_latency" => {
-                m.mem_latency = parse_axis("mem_latency", &b.values, |v| {
-                    v.parse::<u64>().map_err(|_| "expected an integer")
-                })?;
+                m.mem_latency = parse_axis("mem_latency", &b.values, |v| cycles(v, 0))?;
             }
             "l1i" => m.l1i = parse_axis("l1i", &b.values, str::parse::<CacheConfig>)?,
             "l1d" => m.l1d = parse_axis("l1d", &b.values, str::parse::<CacheConfig>)?,
@@ -610,15 +616,42 @@ pub fn parse_matrix(src: &str) -> Result<ScenarioMatrix, SpecError> {
 /// therefore cell names.
 pub const NUM_AXES: usize = 13;
 
-/// Axis index of `cycle_limit` — the only axis that changes *nothing*
-/// about a cell's analysis (it budgets the validation replay alone).
+// The axis indices, in odometer order.
+pub(crate) const AXIS_CORES: usize = 0;
+pub(crate) const AXIS_SMT: usize = 1;
+pub(crate) const AXIS_ARBITER: usize = 2;
+pub(crate) const AXIS_TRANSFER: usize = 3;
+pub(crate) const AXIS_MEM_LATENCY: usize = 4;
+pub(crate) const AXIS_L1I: usize = 5;
+pub(crate) const AXIS_L1D: usize = 6;
+pub(crate) const AXIS_L2_GEOM: usize = 7;
+pub(crate) const AXIS_L2: usize = 8;
+pub(crate) const AXIS_MODE: usize = 9;
+pub(crate) const AXIS_ANALYZE: usize = 10;
+pub(crate) const AXIS_TASKS: usize = 11;
+/// `cycle_limit` — the only axis that changes *nothing* about a cell's
+/// analysis (it budgets the validation replay alone).
 pub(crate) const AXIS_CYCLE_LIMIT: usize = 12;
 
-/// Axis indices whose value reaches the analysis only through the bus /
-/// memory timing side (`arbiter`, `transfer`, `mem_latency`): they leave
-/// every cache-hierarchy input — geometries, layout, partition shifts,
-/// task contents — untouched.
-pub(crate) const AXES_BUS_ONLY: [usize; 3] = [2, 3, 4];
+/// The axes whose value reaches the analysis only through the bus /
+/// memory timing side: they leave every cache-hierarchy input —
+/// geometries, layout, partition shifts, task contents — untouched.
+pub(crate) const AXES_BUS_ONLY: [usize; 3] = [AXIS_ARBITER, AXIS_TRANSFER, AXIS_MEM_LATENCY];
+
+/// The axes a cell's build (machine, programs and placement) reads:
+/// every axis but `mode`, `analyze` and `cycle_limit`.
+pub(crate) const BUILD_AXES: [usize; 10] = [
+    AXIS_CORES,
+    AXIS_SMT,
+    AXIS_ARBITER,
+    AXIS_TRANSFER,
+    AXIS_MEM_LATENCY,
+    AXIS_L1I,
+    AXIS_L1D,
+    AXIS_L2_GEOM,
+    AXIS_L2,
+    AXIS_TASKS,
+];
 
 impl ScenarioMatrix {
     /// Number of cells the cross product yields (before deduplication).
@@ -631,21 +664,21 @@ impl ScenarioMatrix {
     /// `cycle_limit` last) — the mixed radices of the odometer.
     #[must_use]
     pub fn radices(&self) -> [usize; NUM_AXES] {
-        [
-            self.cores.len(),
-            self.smt.len(),
-            self.arbiter.len(),
-            self.transfer.len(),
-            self.mem_latency.len(),
-            self.l1i.len(),
-            self.l1d.len(),
-            self.l2_geom.len(),
-            self.l2.len(),
-            self.mode.len(),
-            self.analyze.len(),
-            self.tasks.len(),
-            self.cycle_limit.len(),
-        ]
+        let mut radices = [0; NUM_AXES];
+        radices[AXIS_CORES] = self.cores.len();
+        radices[AXIS_SMT] = self.smt.len();
+        radices[AXIS_ARBITER] = self.arbiter.len();
+        radices[AXIS_TRANSFER] = self.transfer.len();
+        radices[AXIS_MEM_LATENCY] = self.mem_latency.len();
+        radices[AXIS_L1I] = self.l1i.len();
+        radices[AXIS_L1D] = self.l1d.len();
+        radices[AXIS_L2_GEOM] = self.l2_geom.len();
+        radices[AXIS_L2] = self.l2.len();
+        radices[AXIS_MODE] = self.mode.len();
+        radices[AXIS_ANALYZE] = self.analyze.len();
+        radices[AXIS_TASKS] = self.tasks.len();
+        radices[AXIS_CYCLE_LIMIT] = self.cycle_limit.len();
+        radices
     }
 
     /// The lexicographic rank of an odometer position: the ordinal
@@ -668,22 +701,22 @@ impl ScenarioMatrix {
     /// Panics if a digit is out of its axis's range.
     #[must_use]
     pub fn cell_at(&self, digits: &[usize; NUM_AXES]) -> Scenario {
-        let layout = self.l2[digits[8]];
+        let layout = self.l2[digits[AXIS_L2]];
         Scenario {
             name: format!("{}#{:03}", self.name, self.lex_rank(digits)),
-            cores: self.cores[digits[0]],
-            smt_threads: self.smt[digits[1]],
-            arbiter: self.arbiter[digits[2]].clone(),
-            bus_transfer: self.transfer[digits[3]],
-            mem_latency: self.mem_latency[digits[4]],
-            l1i: self.l1i[digits[5]],
-            l1d: self.l1d[digits[6]],
-            l2_geom: layout.map(|_| self.l2_geom[digits[7]]),
+            cores: self.cores[digits[AXIS_CORES]],
+            smt_threads: self.smt[digits[AXIS_SMT]],
+            arbiter: self.arbiter[digits[AXIS_ARBITER]].clone(),
+            bus_transfer: self.transfer[digits[AXIS_TRANSFER]],
+            mem_latency: self.mem_latency[digits[AXIS_MEM_LATENCY]],
+            l1i: self.l1i[digits[AXIS_L1I]],
+            l1d: self.l1d[digits[AXIS_L1D]],
+            l2_geom: layout.map(|_| self.l2_geom[digits[AXIS_L2_GEOM]]),
             l2_layout: layout.unwrap_or(L2Layout::Shared),
-            mode: self.mode[digits[9]],
-            analyze: self.analyze[digits[10]],
-            tasks: self.tasks[digits[11]].clone(),
-            cycle_limit: self.cycle_limit[digits[12]],
+            mode: self.mode[digits[AXIS_MODE]],
+            analyze: self.analyze[digits[AXIS_ANALYZE]],
+            tasks: self.tasks[digits[AXIS_TASKS]].clone(),
+            cycle_limit: self.cycle_limit[digits[AXIS_CYCLE_LIMIT]],
         }
     }
 
@@ -816,6 +849,26 @@ tasks = [
             parse_matrix("l2 = []\ntasks = fir:4x8"),
             Err(SpecError::EmptyAxis { key: "l2" })
         ));
+        // Cycle values above `MAX_SPEC_CYCLES` would wrap the bounds.
+        assert!(matches!(
+            parse_matrix("transfer = [8, 9223372036854775807]\ntasks = fir:2x4"),
+            Err(SpecError::BadValue {
+                key: "transfer",
+                ..
+            })
+        ));
+        assert!(matches!(
+            parse_matrix("mem_latency = [20, 18446744073709551615]\ntasks = fir:2x4"),
+            Err(SpecError::BadValue {
+                key: "mem_latency",
+                ..
+            })
+        ));
+        assert!(matches!(
+            parse_matrix("arbiter = tdma:9223372036854775807\ntasks = fir:2x4"),
+            Err(SpecError::BadValue { key: "arbiter", .. })
+        ));
+        assert!(parse_matrix("mem_latency = 1048576\ntasks = fir:2x4").is_ok());
     }
 
     #[test]

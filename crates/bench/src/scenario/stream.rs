@@ -85,7 +85,11 @@ use super::run::{
     cell_fingerprint, fingerprint_unbuildable, parse_programs, validate_cell, BuiltScenario,
     CellArtifacts, CellFailure, CellOutcome, FailureKind, TaskBound, TaskRow,
 };
-use super::spec::{Scenario, ScenarioMatrix, AXES_BUS_ONLY, AXIS_CYCLE_LIMIT, NUM_AXES};
+use super::spec::{
+    Scenario, ScenarioMatrix, AXES_BUS_ONLY, AXIS_ANALYZE, AXIS_ARBITER, AXIS_CORES,
+    AXIS_CYCLE_LIMIT, AXIS_L1D, AXIS_L1I, AXIS_L2, AXIS_L2_GEOM, AXIS_MEM_LATENCY, AXIS_MODE,
+    AXIS_SMT, AXIS_TASKS, AXIS_TRANSFER, BUILD_AXES, NUM_AXES,
+};
 
 /// Cells per work-stealing chunk: long enough to amortize the queue
 /// lock and keep neighbour chains useful (several `cycle_limit` runs),
@@ -111,18 +115,18 @@ const MASK_ALL: u16 = u16::MAX;
 /// reuse), then the full-recompute axes.
 const GRAY_ORDER: [usize; NUM_AXES] = [
     AXIS_CYCLE_LIMIT,
-    AXES_BUS_ONLY[2], // mem_latency
-    AXES_BUS_ONLY[1], // transfer
-    AXES_BUS_ONLY[0], // arbiter
-    9,                // mode
-    10,               // analyze
-    8,                // l2 layout
-    7,                // l2 geometry
-    6,                // l1d
-    5,                // l1i
-    11,               // tasks
-    1,                // smt
-    0,                // cores
+    AXIS_MEM_LATENCY,
+    AXIS_TRANSFER,
+    AXIS_ARBITER,
+    AXIS_MODE,
+    AXIS_ANALYZE,
+    AXIS_L2,
+    AXIS_L2_GEOM,
+    AXIS_L1D,
+    AXIS_L1I,
+    AXIS_TASKS,
+    AXIS_SMT,
+    AXIS_CORES,
 ];
 
 /// Options of one run.
@@ -370,7 +374,7 @@ struct ProgramEntry {
 /// A cached build, keyed by the digits of the axes
 /// [`build_with_programs`] reads.
 struct CachedBuild {
-    sig: [usize; 10],
+    sig: [usize; BUILD_AXES.len()],
     built: Result<Arc<BuiltScenario>, String>,
     /// `debug_fingerprint` of the machine (zero when unbuildable).
     machine_fp: (u64, u64),
@@ -472,7 +476,7 @@ impl<'m> Producer<'m> {
     /// the cell, its build, machine fingerprint and cell fingerprint.
     fn visit(&mut self, digits: &[usize; NUM_AXES]) -> Option<Visited> {
         let scenario = self.matrix.cell_at(digits);
-        let entry = self.programs_for(digits[11], &scenario);
+        let entry = self.programs_for(digits[AXIS_TASKS], &scenario);
         let build = self.build(digits, &scenario, &entry);
         let fingerprint = match &build.prefix {
             Some(prefix) => cell_fingerprint(prefix, &scenario, &entry.task_fps),
@@ -521,9 +525,7 @@ impl<'m> Producer<'m> {
         scn: &Scenario,
         entry: &ProgramEntry,
     ) -> &CachedBuild {
-        let mut sig = [0usize; 10];
-        sig[..9].copy_from_slice(&digits[..9]);
-        sig[9] = digits[11];
+        let sig = BUILD_AXES.map(|axis| digits[axis]);
         if self.last_build.as_ref().is_none_or(|b| b.sig != sig) {
             let built = match &entry.programs {
                 Ok(programs) => build_with_programs(scn, programs.clone()).map(Arc::new),
@@ -1233,12 +1235,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn axis_lists_cover_the_axes() {
+        let mut order = GRAY_ORDER;
+        order.sort_unstable();
+        assert_eq!(order, std::array::from_fn(|axis| axis));
+        let unread: Vec<usize> = (0..NUM_AXES)
+            .filter(|axis| !BUILD_AXES.contains(axis))
+            .collect();
+        assert_eq!(unread, [AXIS_MODE, AXIS_ANALYZE, AXIS_CYCLE_LIMIT]);
+    }
+
+    #[test]
     fn gray_odometer_visits_every_cell_once_one_axis_at_a_time() {
         let mut radices = [1usize; NUM_AXES];
-        radices[0] = 2;
-        radices[4] = 3;
-        radices[9] = 2;
-        radices[12] = 4;
+        radices[AXIS_CORES] = 2;
+        radices[AXIS_MEM_LATENCY] = 3;
+        radices[AXIS_MODE] = 2;
+        radices[AXIS_CYCLE_LIMIT] = 4;
         let total: usize = radices.iter().product();
         let mut odo = GrayOdometer::new(radices);
         let mut seen = HashSet::new();

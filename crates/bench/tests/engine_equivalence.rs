@@ -5,7 +5,7 @@
 use wcet_bench::{l2_bound_machine, l2_bound_victim, machine, suite};
 use wcet_core::analyzer::Analyzer;
 use wcet_core::engine::{AnalysisEngine, Job};
-use wcet_core::mode::{Isolated, Joint, Solo};
+use wcet_core::mode::{Isolated, JointRefs, Solo};
 use wcet_ir::synth::{matmul, Placement};
 
 /// E01: the whole suite, solo mode, single predictable core.
@@ -53,9 +53,10 @@ fn e02_joint_batch_equals_sequential() {
         })
         .collect();
     for k in 0..=fps.len() {
-        let mode = Joint::new(fps[..k].iter().cloned());
-        let eng = engine.analyze(&victim, 0, 0, &mode).expect("analyses");
         let refs: Vec<_> = fps[..k].iter().collect();
+        let eng = engine
+            .analyze(&victim, 0, 0, &JointRefs(&refs))
+            .expect("analyses");
         let seq = an.wcet_joint(&victim, 0, 0, &refs).expect("analyses");
         assert_eq!(eng, seq, "k={k}: engine diverged from analyzer");
     }

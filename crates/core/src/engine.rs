@@ -933,7 +933,7 @@ impl AnalysisEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mode::{Isolated, Joint, Solo};
+    use crate::mode::{Isolated, JointRefs, Solo};
     use wcet_ir::synth::{fir, matmul, Placement};
 
     #[test]
@@ -1037,8 +1037,9 @@ mod tests {
         let fp = engine.l2_footprint(&bully, 1).expect("analyses");
         let fp_seq = an.l2_footprint(&bully, 1).expect("analyses");
         assert_eq!(fp, fp_seq);
-        let joint = Joint::new([fp.clone()]);
-        let eng = engine.analyze(&victim, 0, 0, &joint).expect("analyses");
+        let eng = engine
+            .analyze(&victim, 0, 0, &JointRefs(&[&fp]))
+            .expect("analyses");
         let seq = an.wcet_joint(&victim, 0, 0, &[&fp]).expect("analyses");
         assert_eq!(eng, seq);
     }

@@ -54,7 +54,7 @@ pub use analyzer::{AnalysisError, Analyzer, TaskContext, WcetReport};
 pub use bcet::{bcet_ipet, best_block_costs};
 pub use engine::{AnalysisEngine, Job, MemoDomain, MemoStats, SolverStats, TaskArtifacts};
 pub use ipet::{wcet_ipet, wcet_ipet_ctx, IpetError, IpetOptions, SolveContext, WcetBound};
-pub use mode::{AnalysisMode, Footprint, Isolated, Joint, JointRefs, Solo};
+pub use mode::{AnalysisMode, Footprint, Isolated, JointRefs, Solo};
 pub use report::Table;
 pub use validate::{observe, run_machine, Observation};
 pub use wcet_ir::fingerprint::{self, debug_fingerprint, program_fingerprint};

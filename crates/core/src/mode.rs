@@ -10,7 +10,7 @@
 //! * [`Solo`] — classic single-task assumption (paper §2.1, **unsafe** on
 //!   shared hardware);
 //! * [`Isolated`] — task isolation (paper §3.3): no co-runner knowledge;
-//! * [`Joint`] — joint analysis (paper §3.1/§4.1): known co-runner
+//! * [`JointRefs`] — joint analysis (paper §3.1/§4.1): known co-runner
 //!   footprints.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -93,42 +93,9 @@ impl AnalysisMode for Isolated {
     }
 }
 
-/// Joint analysis over known co-runner L2 footprints.
-#[derive(Debug, Clone, Default)]
-pub struct Joint {
-    corunners: Vec<Footprint>,
-}
-
-impl Joint {
-    /// A joint mode interfering with the given co-runner footprints
-    /// (typically from [`Analyzer::l2_footprint`]).
-    #[must_use]
-    pub fn new(corunners: impl IntoIterator<Item = Footprint>) -> Joint {
-        Joint {
-            corunners: corunners.into_iter().collect(),
-        }
-    }
-
-    /// The co-runner footprints.
-    #[must_use]
-    pub fn corunners(&self) -> &[Footprint] {
-        &self.corunners
-    }
-}
-
-impl AnalysisMode for Joint {
-    fn name(&self) -> &str {
-        "joint"
-    }
-
-    fn l2_shift(&self, machine: &MachineConfig) -> Vec<u32> {
-        joint_shift(machine, self.corunners.iter())
-    }
-}
-
-/// Borrowing variant of [`Joint`]: the same strategy over footprint
-/// references, for callers (like [`Analyzer::wcet_joint`]) that already
-/// hold footprints elsewhere and should not clone them per call.
+/// Joint analysis over known co-runner L2 footprints (typically from
+/// [`Analyzer::l2_footprint`]), borrowed: callers hold the footprints
+/// and lend them per call.
 #[derive(Debug, Clone, Copy)]
 pub struct JointRefs<'a>(pub &'a [&'a Footprint]);
 
@@ -138,19 +105,12 @@ impl AnalysisMode for JointRefs<'_> {
     }
 
     fn l2_shift(&self, machine: &MachineConfig) -> Vec<u32> {
-        joint_shift(machine, self.0.iter().copied())
-    }
-}
-
-fn joint_shift<'a>(
-    machine: &MachineConfig,
-    corunners: impl Iterator<Item = &'a Footprint>,
-) -> Vec<u32> {
-    match &machine.l2 {
-        Some(l2) => {
-            let im = InterferenceMap::from_footprints(corunners);
-            im.shift_vector(l2.cache.sets(), l2.cache.ways())
+        match &machine.l2 {
+            Some(l2) => {
+                let im = InterferenceMap::from_footprints(self.0.iter().copied());
+                im.shift_vector(l2.cache.sets(), l2.cache.ways())
+            }
+            None => Vec::new(),
         }
-        None => Vec::new(),
     }
 }

@@ -19,8 +19,7 @@ use wcet_bench::experiments::{ExperimentRun, EXPERIMENTS};
 use wcet_bench::json::Json;
 use wcet_bench::load::load_json;
 use wcet_bench::scenario::{
-    campaign_json, matrix_json, parse_matrix, run_campaign, run_campaign_with, CampaignOptions,
-    CampaignRun,
+    parse_matrix, run_campaign, run_campaign_with, run_json, CampaignOptions, CampaignRun,
 };
 use wcet_bench::{comparison_workload, l2_bound_machine, l2_bound_victim, machine};
 use wcet_core::analyzer::Analyzer;
@@ -99,7 +98,6 @@ fn solver_warm_vs_cold() -> Json {
 fn scenario_sweep() -> Json {
     let matrix =
         parse_matrix(include_str!("../../../../scenarios/example.scn")).expect("example parses");
-    let start = Instant::now();
     let run = run_campaign(
         &matrix,
         &CampaignOptions {
@@ -109,7 +107,6 @@ fn scenario_sweep() -> Json {
             ..CampaignOptions::default()
         },
     );
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(
         "scenario sweep `{}`: {} cells ({} duplicates removed), {}/{} \
          validated cells sound, {:.1} ms",
@@ -118,18 +115,13 @@ fn scenario_sweep() -> Json {
         run.duplicates,
         run.sound,
         run.validated,
-        wall_ms,
+        run.wall.as_secs_f64() * 1e3,
     );
     assert!(
         run.violations.is_empty(),
         "example matrix produced unsound cells"
     );
-    let mut doc = match matrix_json(&run) {
-        Json::Obj(map) => map,
-        _ => unreachable!("matrix_json returns an object"),
-    };
-    doc.insert("wall_ms".into(), Json::from(wall_ms));
-    Json::Obj(doc)
+    run_json(&run)
 }
 
 /// A fresh memo path in the temp directory, unique to this run.
@@ -285,14 +277,14 @@ fn campaign_sweep() -> Json {
         }
     };
     Json::obj([
-        ("cold", campaign_json(&cold)),
-        ("warm", campaign_json(&warm)),
+        ("cold", run_json(&cold)),
+        ("warm", run_json(&warm)),
         (
             "resume",
             Json::obj([
-                ("interrupted", campaign_json(&interrupted)),
-                ("resumed", campaign_json(&resumed)),
-                ("reference", campaign_json(&reference)),
+                ("interrupted", run_json(&interrupted)),
+                ("resumed", run_json(&resumed)),
+                ("reference", run_json(&reference)),
                 ("identical_bounds", Json::from(true)),
             ]),
         ),
@@ -636,8 +628,9 @@ fn main() -> Result<(), Failed> {
     let load = serving_pass("load", load_bench, &mut failed);
 
     let doc = Json::obj([
-        // Schema 12: every counter block is a full `Counters` block.
-        ("schema", Json::from(12_u64)),
+        // Schema 13: `scenarios` and every campaign block are one
+        // `run_json` document each.
+        ("schema", Json::from(13_u64)),
         ("suite", Json::str("wcet-bench run_all")),
         (
             "total_ms",

@@ -28,20 +28,20 @@
 //! shed/retry/error counts (`--json PATH` writes the schema-10 `load`
 //! block).
 //!
-//! `run` performs analysis only; `validate` additionally replays cells
-//! on the cycle-level simulator and exits non-zero if a
+//! `run` performs analysis only; `validate` additionally replays every
+//! cell on the cycle-level simulator and exits non-zero if a
 //! sound-by-construction cell breaks its bound; `report` is `validate`
 //! plus default output files (`SCENARIOS.json` / `SCENARIOS.md`).
 //!
-//! ## Streaming campaigns
+//! ## One run path
 //!
-//! Every invocation runs the one scenario runner. A small matrix is
-//! collected on one worker and reported as a whole (the cell table and
-//! `matrix_json`); large matrices (or any invocation carrying a
-//! streaming flag) stream instead: cells are analysed by work-stealing
-//! workers with neighbour-incremental reuse, and their report rows are
-//! printed *as they complete* (in deterministic order) rather than after
-//! the whole run:
+//! Every `run`, `validate` and `report` runs the one scenario runner the
+//! same way: cells are analysed by work-stealing workers with
+//! neighbour-incremental reuse, one tab-separated row per task is
+//! printed *as its chunk is sequenced* (in deterministic order, at any
+//! worker count), and the run's Markdown document follows. A matrix of
+//! fewer than 4096 cross-product cells keeps its cells, so its documents
+//! carry every cell; a larger one reports its totals only.
 //!
 //! ```text
 //! wcet scenarios run scenarios/campaign.scn --limit 2000 --threads 4
@@ -54,9 +54,8 @@
 //!   schema-versioned, CRC-checksummed; corrupt lines are skipped,
 //!   alien files replaced);
 //! * `--sample N` — simulate one in N cells, chosen by a seeded hash
-//!   (`validate`/`report` default to 1 in 500 when streaming);
+//!   (default: every cell for `validate`/`report`, none for `run`);
 //! * `--seed S` — the sample seed (default 0);
-//! * `--stream` — force the streaming pipeline for a small matrix;
 //! * `--resume` — fast-forward past the memo's newest checkpoint of
 //!   this spec instead of recomputing from rank zero (needs `--cache`);
 //! * `--deadline-ms N` — stop handing out work after N ms of wall
@@ -69,8 +68,8 @@
 //! * `--strict` — escalate failed cells and a fired deadline to a hard
 //!   error (exit 1).
 //!
-//! In streaming mode `--json` writes the campaign *summary* document
-//! (`campaign_json`); per-cell rows live on stdout only.
+//! `--json` writes the run document (`run_json`), `--md` its Markdown
+//! (`run_markdown`).
 //!
 //! ## Exit codes
 //!
@@ -100,8 +99,8 @@ use std::time::Duration;
 
 use wcet_bench::load::load_json;
 use wcet_bench::scenario::{
-    campaign_json, campaign_markdown, matrix_json, matrix_markdown, parse_matrix, run_campaign,
-    run_campaign_with, CampaignOptions, CellBudget,
+    parse_matrix, run_campaign_with, run_json, run_markdown, CampaignOptions, CellBudget,
+    ScenarioMatrix,
 };
 use wcet_core::report::Table;
 use wcet_serve::{
@@ -111,7 +110,7 @@ use wcet_serve::{
 
 const USAGE: &str = "usage: wcet scenarios <list|run|validate|report> <spec.scn> \
                      [--json PATH] [--md PATH] [--limit N] [--threads N] \
-                     [--cache PATH] [--sample N] [--seed S] [--stream] \
+                     [--cache PATH] [--sample N] [--seed S] \
                      [--resume] [--strict] [--deadline-ms N] [--budget-pivots N] \
                      [--budget-evals N] [--budget-cell-ms N]\n\
                      \x20      wcet serve [--addr HOST:PORT] [--workers N] \
@@ -132,11 +131,9 @@ const LOAD_USAGE: &str = "usage: wcet load [HOST:PORT] [--requests N] [--workers
                           [--zipf X] [--rate R] [--seed S] [--retries N] [--deadline-ms N] \
                           [--json PATH]";
 
-/// Matrices at or above this many cross-product cells stream by default.
-const STREAM_THRESHOLD: usize = 4096;
-
-/// Streaming `validate`/`report` sample density when `--sample` is absent.
-const DEFAULT_SAMPLE: u64 = 500;
+/// Matrices below this many cross-product cells keep their cells, so the
+/// run's documents carry every cell; larger ones report totals only.
+const KEEP_CELLS_BELOW: usize = 4096;
 
 struct Args {
     command: String,
@@ -148,30 +145,12 @@ struct Args {
     cache: Option<String>,
     sample: Option<u64>,
     seed: u64,
-    stream: bool,
     resume: bool,
     strict: bool,
     deadline_ms: Option<u64>,
     budget_pivots: Option<u64>,
     budget_evals: Option<u64>,
     budget_cell_ms: Option<u64>,
-}
-
-impl Args {
-    /// Any streaming flag forces the campaign pipeline.
-    fn wants_stream(&self) -> bool {
-        self.stream
-            || self.limit.is_some()
-            || self.threads.is_some()
-            || self.cache.is_some()
-            || self.sample.is_some()
-            || self.resume
-            || self.strict
-            || self.deadline_ms.is_some()
-            || self.budget_pivots.is_some()
-            || self.budget_evals.is_some()
-            || self.budget_cell_ms.is_some()
-    }
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -195,7 +174,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         cache: None,
         sample: None,
         seed: 0,
-        stream: false,
         resume: false,
         strict: false,
         deadline_ms: None,
@@ -222,7 +200,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--cache" => args.cache = Some(value(&mut it, "--cache")?.clone()),
             "--sample" => args.sample = Some(number(value(&mut it, "--sample")?, "--sample")?),
             "--seed" => args.seed = number(value(&mut it, "--seed")?, "--seed")?,
-            "--stream" => args.stream = true,
             "--resume" => args.resume = true,
             "--strict" => args.strict = true,
             "--deadline-ms" => {
@@ -248,34 +225,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn write_outputs(
-    json_out: Option<String>,
-    md_out: Option<String>,
-    json_doc: &str,
-    md_doc: &str,
-) -> bool {
-    let mut failed = false;
-    if let Some(path) = json_out {
-        match std::fs::write(&path, format!("{json_doc}\n")) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if let Some(path) = md_out {
-        match std::fs::write(&path, md_doc) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    failed
 }
 
 fn main() -> ExitCode {
@@ -322,80 +271,21 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let validate = matches!(args.command.as_str(), "validate" | "report");
-    if args.wants_stream() || matrix.num_cells() >= STREAM_THRESHOLD {
-        return run_streaming(&args, &matrix, validate);
-    }
-
-    let run = run_campaign(
-        &matrix,
-        &CampaignOptions {
-            threads: 1,
-            keep_cells: true,
-            sample_one_in: u64::from(validate),
-            ..CampaignOptions::default()
-        },
-    );
-    println!("{}", matrix_markdown(&run));
-
-    let json_out = args
-        .json_out
-        .clone()
-        .or_else(|| (args.command == "report").then(|| "SCENARIOS.json".to_string()));
-    let md_out = args
-        .md_out
-        .clone()
-        .or_else(|| (args.command == "report").then(|| "SCENARIOS.md".to_string()));
-    let mut failed = write_outputs(
-        json_out,
-        md_out,
-        &matrix_json(&run).to_string(),
-        &matrix_markdown(&run),
-    );
-
-    // A run in which not a single cell produced a bound is a failure —
-    // otherwise a regression that breaks every cell (bad spec value,
-    // analysis error) would keep smoke runs green.
-    let any_bound = run
-        .cells
-        .iter()
-        .any(|c| c.rows.iter().any(|r| r.outcome.is_ok()));
-    if !any_bound {
-        eprintln!("no cell produced a WCET bound — every cell failed to build or analyse");
-        failed = true;
-    }
-    if validate && !run.violations.is_empty() {
-        eprintln!(
-            "soundness violations in {} cell(s): {}",
-            run.violations.len(),
-            run.violations.join(", ")
-        );
-        failed = true;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    run_scenarios(&args, &matrix)
 }
 
-/// The streaming path: report rows hit stdout as their chunk sequences,
-/// then the campaign summary (and optional JSON/Markdown outputs).
-fn run_streaming(
-    args: &Args,
-    matrix: &wcet_bench::scenario::ScenarioMatrix,
-    validate: bool,
-) -> ExitCode {
+/// `run`, `validate` and `report`: report rows hit stdout as their chunk
+/// sequences, then the run's Markdown (and optional JSON/Markdown
+/// outputs), and the exit code follows the one ladder.
+fn run_scenarios(args: &Args, matrix: &ScenarioMatrix) -> ExitCode {
+    let validate = matches!(args.command.as_str(), "validate" | "report");
     let opts = CampaignOptions {
         threads: args.threads.unwrap_or(0),
         limit: args.limit,
-        sample_one_in: match (validate, args.sample) {
-            (_, Some(n)) => n,
-            (true, None) => DEFAULT_SAMPLE,
-            (false, None) => 0,
-        },
+        sample_one_in: args.sample.unwrap_or(u64::from(validate)),
         seed: args.seed,
         cache: args.cache.as_ref().map(PathBuf::from),
+        keep_cells: matrix.num_cells() < KEEP_CELLS_BELOW,
         budget: CellBudget {
             max_pivots: args.budget_pivots,
             max_fixpoint_evals: args.budget_evals,
@@ -452,23 +342,31 @@ fn run_streaming(
             );
         }
     });
+    let md = run_markdown(&run);
     println!();
-    println!("{}", campaign_markdown(&run));
+    println!("{md}");
 
-    let json_out = args
-        .json_out
-        .clone()
-        .or_else(|| (args.command == "report").then(|| "SCENARIOS.json".to_string()));
-    let md_out = args
-        .md_out
-        .clone()
-        .or_else(|| (args.command == "report").then(|| "SCENARIOS.md".to_string()));
-    let mut failed = write_outputs(
-        json_out,
-        md_out,
-        &campaign_json(&run).to_string(),
-        &campaign_markdown(&run),
-    );
+    // `report` writes both documents unless told where.
+    let out = |flag: &Option<String>, default: &str| {
+        flag.clone()
+            .or_else(|| (args.command == "report").then(|| default.to_string()))
+    };
+    let mut failed = false;
+    for (path, doc) in [
+        (
+            out(&args.json_out, "SCENARIOS.json"),
+            format!("{}\n", run_json(&run)),
+        ),
+        (out(&args.md_out, "SCENARIOS.md"), md),
+    ] {
+        let Some(path) = path else { continue };
+        if let Err(e) = std::fs::write(&path, doc) {
+            eprintln!("cannot write {path}: {e}");
+            failed = true;
+        } else {
+            println!("wrote {path}");
+        }
+    }
 
     // A resumed run may legitimately bound nothing new, a deadline can
     // fire before the first bound lands, and supervised failures carry
@@ -478,7 +376,7 @@ fn run_streaming(
         eprintln!("no cell produced a WCET bound — every cell failed to build or analyse");
         failed = true;
     }
-    if validate && !run.violations.is_empty() {
+    if !run.violations.is_empty() {
         eprintln!(
             "soundness violations in {} cell(s): {}",
             run.violations.len(),

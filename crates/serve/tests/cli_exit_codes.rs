@@ -1,6 +1,6 @@
 //! The `wcet` binary's exit-code ladder, end to end:
 //!
-//! * `0` — clean (streaming or materialized) run;
+//! * `0` — clean run;
 //! * `1` — hard error (bad usage) and `--strict` escalation;
 //! * `2` — supervised cell failures (here: starved budgets);
 //! * `3` — the `--deadline-ms` deadline fired; a `--resume` rerun then
@@ -8,6 +8,8 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use wcet_bench::json::Json;
 
 const SPEC: &str = "name = cli\ncores = 2\narbiter = [rr, tdma:10]\n\
                     mode = [isolated, joint]\ncycle_limit = [100000, 200000]\n\
@@ -40,8 +42,34 @@ fn stderr_of(out: &Output) -> String {
 fn clean_streaming_run_exits_zero() {
     let dir = temp_dir();
     let spec = write_spec(&dir);
-    let out = wcet(&["scenarios", "run", spec.to_str().expect("utf8"), "--stream"]);
+    let out = wcet(&["scenarios", "run", spec.to_str().expect("utf8")]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+}
+
+/// Any flag (here `--threads`) leaves the validation density and the
+/// document's cells as they are: `validate` replays every cell.
+#[test]
+fn validate_with_threads_validates_and_writes_every_cell() {
+    let dir = temp_dir();
+    let spec = write_spec(&dir);
+    let json = dir.join("validate-threads.json");
+    let out = wcet(&[
+        "scenarios",
+        "validate",
+        spec.to_str().expect("utf8"),
+        "--threads",
+        "2",
+        "--json",
+        json.to_str().expect("utf8"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let text = std::fs::read_to_string(&json).expect("wrote the run document");
+    assert!(text.contains("\"validated_cells\":8"), "{text}");
+    assert!(text.contains("\"sound_cells\":8"), "{text}");
+    let doc = Json::parse(&text).expect("parses");
+    let cells = doc.get("cells").and_then(Json::as_arr).map(<[Json]>::len);
+    assert_eq!(cells, Some(8), "{text}");
+    let _ = std::fs::remove_file(&json);
 }
 
 #[test]

@@ -125,6 +125,13 @@ fn unknown_requests_and_bad_specs_are_rejected() {
         .expect("server answers");
     expect_protocol_error(response, "bad spec");
 
+    // A cycle value that would wrap the bound arithmetic.
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let response = client
+        .submit_matrix("mem_latency = [20, 18446744073709551615]\ntasks = fir:2x4\n")
+        .expect("server answers");
+    expect_protocol_error(response, "bad spec");
+
     // A multi-cell spec through the single-cell door.
     let mut client = Client::connect(handle.addr()).expect("connects");
     let response = client

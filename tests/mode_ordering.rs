@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use wcet_toolkit::arbiter::ArbiterKind;
 use wcet_toolkit::core::analyzer::Analyzer;
 use wcet_toolkit::core::engine::AnalysisEngine;
-use wcet_toolkit::core::mode::{Isolated, Joint, Solo};
+use wcet_toolkit::core::mode::{Isolated, JointRefs, Solo};
 use wcet_toolkit::ir::synth::{random_program, Placement, RandomParams};
 use wcet_toolkit::sim::config::MachineConfig;
 
@@ -63,9 +63,8 @@ proptest! {
         let bully =
             random_program(seed ^ 0x517c_c1b7, RandomParams::default(), Placement::slot(1));
         let fp = engine.l2_footprint(&bully, 1).expect("analyses");
-        let joint_mode = Joint::new([fp.clone()]);
         let solo = engine.analyze(&victim, 0, 0, &Solo).expect("analyses");
-        let joint = engine.analyze(&victim, 0, 0, &joint_mode).expect("analyses");
+        let joint = engine.analyze(&victim, 0, 0, &JointRefs(&[&fp])).expect("analyses");
         let iso = engine.analyze(&victim, 0, 0, &Isolated).expect("analyses");
         prop_assert!(solo.wcet <= joint.wcet);
         prop_assert!(joint.wcet <= iso.wcet);
