@@ -24,7 +24,9 @@
 //!    run deadline stops cleanly and stays resumable;
 //! 7. kill-then-`--resume` (including a torn final append) reproduces
 //!    the uninterrupted run's memo data lines byte-for-byte and its
-//!    emitted bounds exactly.
+//!    emitted bounds exactly;
+//! 8. the exact referee factorizes each constraint system's terminal
+//!    basis once, not once per solve.
 
 mod common;
 
@@ -267,6 +269,31 @@ fn campaign_matrix_is_a_six_figure_campaign_and_streams_soundly() {
         Vec::<String>::new(),
         "sampled cells must all be sound"
     );
+}
+
+/// Single-thread `cert_factors` pins: a 2 000-cell slice of
+/// `campaign.scn` (one task set, so one constraint system) certifies
+/// 265 IPET solves with one exact factorization, and the campaign's
+/// five task sets (five constraint systems) take five. A referee that
+/// factorized every solve again would read 265 and 48.
+#[test]
+fn the_referee_factorizes_each_terminal_basis_once() {
+    let solver = |text: &str, limit| {
+        let matrix = parse_matrix(text).expect("parses");
+        let opts = CampaignOptions {
+            threads: 1,
+            limit,
+            ..CampaignOptions::default()
+        };
+        let totals = run_campaign(&matrix, &opts).solver.totals;
+        (totals.certified, totals.fallbacks, totals.cert_factors)
+    };
+    let campaign = include_str!("../../../scenarios/campaign.scn");
+    assert_eq!(solver(campaign, Some(2000)), (265, 0, 1));
+    let task_sets = "name = referee\ncores = 2\narbiter = [rr, tdma:32]\n\
+                     mem_latency = [20, 40]\nmode = [isolated, joint]\n\
+                     tasks = [fir:2x4, crc:16, \"fir:2x4 crc:16\", bsort:4, \"fir:2x4 bsort:4\"]\n";
+    assert_eq!(solver(task_sets, None), (48, 0, 5));
 }
 
 /// The small fully-bounded matrix the corruption-class tests run (every

@@ -26,7 +26,7 @@ fn results_schema_is_current_and_campaign_throughput_parses() {
         .get("schema")
         .and_then(Json::as_u64)
         .expect("document carries a schema number");
-    assert!(schema >= 13, "schema regressed below 13: {schema}");
+    assert!(schema >= 14, "schema regressed below 14: {schema}");
 
     // Schema 9's suite-level wall clock.
     let total_ms = doc

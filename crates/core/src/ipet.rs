@@ -333,7 +333,7 @@ mod tests {
     use super::*;
     use wcet_ilp::longest_path;
     use wcet_ir::interp::execute;
-    use wcet_ir::synth::{bsort, crc, matmul, twin_diamonds, Placement};
+    use wcet_ir::synth::{bsort, crc, fir, matmul, twin_diamonds, Placement};
     use wcet_pipeline::cost::BlockCosts;
 
     /// Unit-cost blocks, no extras.
@@ -455,30 +455,42 @@ mod tests {
 
     #[test]
     fn warm_context_is_bit_identical_to_cold() {
-        // Same program, swept cost models — the second and later solves
-        // hit the context's cached basis and must reproduce the cold
-        // bound field-for-field (block counts included).
-        let p = crc(16, Placement::default());
+        // The campaign's kernels, each under swept cost models through
+        // one context — the second and later solves of a program hit its
+        // cached basis (and its proven terminal basis) and must
+        // reproduce the cold bound field-for-field, block counts
+        // included.
+        let pl = Placement::default();
+        let programs = [fir(2, 4, pl), crc(16, pl), bsort(4, pl)];
         let ctx = SolveContext::new();
-        for scale in 1u64..=4 {
-            let mut costs = slot_costs(&p);
-            for c in costs.base.values_mut() {
-                *c *= scale;
+        for p in &programs {
+            for scale in 1u64..=4 {
+                let mut costs = slot_costs(p);
+                for (i, c) in costs.base.values_mut().enumerate() {
+                    *c = *c * scale + (i as u64 % 3);
+                }
+                let warm = wcet_ipet_ctx(p, &costs, &IpetOptions::default(), &ctx).expect("solves");
+                let cold = wcet_ipet(p, &costs, &IpetOptions::default()).expect("solves");
+                assert_eq!(warm, cold, "{} ×{scale}", p.name());
+                assert_eq!(
+                    warm.block_counts,
+                    cold.block_counts,
+                    "{} ×{scale}",
+                    p.name()
+                );
             }
-            let warm = wcet_ipet_ctx(&p, &costs, &IpetOptions::default(), &ctx).expect("solves");
-            let cold = wcet_ipet(&p, &costs, &IpetOptions::default()).expect("solves");
-            assert_eq!(warm, cold);
-            assert_eq!(warm.block_counts, cold.block_counts);
         }
         let stats = ctx.stats();
-        assert_eq!(stats.cold_solves, 1);
-        assert_eq!(stats.warm_hits, 3);
+        assert_eq!(stats.cold_solves, 3);
+        assert_eq!(stats.warm_hits, 9);
+        assert_eq!(stats.totals.certified, 12);
         // Warm solves really skipped phase 1.
-        let mut costs = slot_costs(&p);
+        let p = &programs[1];
+        let mut costs = slot_costs(p);
         for c in costs.base.values_mut() {
             *c *= 5;
         }
-        let warm = wcet_ipet_ctx(&p, &costs, &IpetOptions::default(), &ctx).expect("solves");
+        let warm = wcet_ipet_ctx(p, &costs, &IpetOptions::default(), &ctx).expect("solves");
         assert!(warm.solver.phase1_skips > 0);
         assert_eq!(warm.solver.phase1_pivots, 0);
     }

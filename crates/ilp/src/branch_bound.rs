@@ -16,7 +16,7 @@ use std::fmt;
 
 use crate::model::{CmpOp, LinExpr, LpModel, Solution, SolveStats, SolveStatus, VarId};
 use crate::rational::Rat;
-use crate::simplex::{solve_lp_warm, Revised, WarmBasis};
+use crate::simplex::{solve_lp_proven, solve_lp_warm, Revised, WarmBasis};
 
 /// Branch-and-bound configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +73,9 @@ pub(crate) struct IlpOutcome {
     pub root_feasible_basis: Option<WarmBasis>,
     /// Whether the supplied warm basis was actually adopted at the root.
     pub root_warm_used: bool,
+    /// The root relaxation's optimal basis — nonsingular, so the
+    /// context can hand it back as the next root solve's proven basis.
+    pub root_optimal_basis: Option<WarmBasis>,
 }
 
 /// One branching decision: `var <= bound` (down) or `var >= bound` (up).
@@ -98,23 +101,26 @@ struct Node {
 /// * [`IlpError::NodeLimit`] if the search exceeds `config.max_nodes`;
 /// * [`IlpError::Unbounded`] if the relaxation is unbounded above.
 pub fn solve_ilp(model: &LpModel, config: IlpConfig) -> Result<(Solution, IlpStats), IlpError> {
-    let out = solve_ilp_warm(model, config, None)?;
+    let out = solve_ilp_warm(model, config, None, None)?;
     Ok((out.solution, out.stats))
 }
 
-/// [`solve_ilp`] with an optional warm basis for the root relaxation
-/// (the phase-1 feasible basis of a previous solve of the *same*
-/// constraint system — see [`crate::context::SolveContext`]).
+/// [`solve_ilp`] with an optional warm basis and proven basis for the
+/// root relaxation (the phase-1 feasible basis and a nonsingular
+/// optimal basis of earlier solves of the *same* constraint system —
+/// see [`crate::context::SolveContext`]).
 pub(crate) fn solve_ilp_warm(
     model: &LpModel,
     config: IlpConfig,
     warm_root: Option<&WarmBasis>,
+    proven_root: Option<&WarmBasis>,
 ) -> Result<IlpOutcome, IlpError> {
     let mut agg = SolveStats::default();
     let mut stats = IlpStats::default();
     let mut best: Option<Solution> = None;
     let mut root_feasible_basis = None;
     let mut root_warm_used = false;
+    let mut root_optimal_basis = None;
 
     let mut stack: Vec<Node> = vec![Node {
         bounds: Vec::new(),
@@ -131,10 +137,11 @@ pub(crate) fn solve_ilp_warm(
 
         let (relax, optimal_basis) = if node.bounds.is_empty() {
             // Root relaxation (optionally warm-started by the caller).
-            let r = solve_lp_warm(model, warm_root);
+            let r = solve_lp_proven(model, warm_root, proven_root);
             agg.absorb(&r.solution.stats);
             root_warm_used = r.solution.stats.warm_starts > 0;
             root_feasible_basis = r.feasible_basis;
+            root_optimal_basis.clone_from(&r.optimal_basis);
             (r.solution, r.optimal_basis.map(|b| b.cols))
         } else {
             solve_child(model, &node, &mut agg)
@@ -218,6 +225,7 @@ pub(crate) fn solve_ilp_warm(
         stats,
         root_feasible_basis,
         root_warm_used,
+        root_optimal_basis,
     })
 }
 

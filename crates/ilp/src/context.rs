@@ -16,13 +16,23 @@
 //! objective would also be reusable, but would make the reported
 //! solution (among alternate optima) depend on solve order — poison for
 //! the engine's batch-equals-sequential guarantee.
+//!
+//! Beside it the context keeps the key's last **optimal** basis, but
+//! only as the exact referee's memory, never as a start: every basis a
+//! solve returns as optimal is nonsingular (the referee factorized it,
+//! the exact tier pivoted to it through an explicit inverse, or it
+//! equals an earlier such basis), so a later solve whose f64 tier ends
+//! on the same basis is certified by an O(nnz) check of its own point
+//! instead of a fresh factorization (see the private `certify`
+//! module). Both are basis indices, O(m) words per key; no factor is
+//! kept.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::branch_bound::{solve_ilp_warm, IlpConfig, IlpError, IlpStats};
 use crate::model::{LpModel, Solution, SolveStats};
-use crate::simplex::{solve_lp_warm, WarmBasis};
+use crate::simplex::{solve_lp_proven, WarmBasis};
 
 /// Poison-tolerant lock accessor: a supervised caller that panics
 /// mid-solve (budget abort, injected fault) never holds these locks at
@@ -34,8 +44,10 @@ fn lock_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Key identifying one constraint system (callers typically use a task
 /// content fingerprint — any stable 128-bit identity works; a mismatch
-/// only costs the warm start, never correctness, because basis
-/// dimensions are re-validated against the model on every use).
+/// only costs the warm start and the check-first shortcut, never
+/// correctness, because basis dimensions are re-validated against the
+/// model on every use and a proven basis is only ever a candidate that
+/// the exact check or a fresh factorization decides).
 pub type SolveKey = (u64, u64);
 
 /// A point-in-time view of ILP-solver effort: how many solves reused a
@@ -62,11 +74,22 @@ impl SolverStats {
     }
 }
 
-/// A thread-safe cache of phase-1 feasible bases, keyed by constraint
-/// system. See the [module docs](self).
+/// What the context knows about one constraint system.
+#[derive(Debug, Default)]
+struct Bases {
+    /// The phase-1 feasible basis warm starts adopt (the first one a
+    /// solve produced; never overwritten).
+    feasible: Option<Arc<WarmBasis>>,
+    /// The last basis a solve returned as optimal — proven nonsingular,
+    /// handed to the referee so it can check instead of factorize.
+    proven: Option<Arc<WarmBasis>>,
+}
+
+/// A thread-safe cache of phase-1 feasible bases and proven optimal
+/// bases, keyed by constraint system. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct SolveContext {
-    bases: Mutex<HashMap<SolveKey, Arc<WarmBasis>>>,
+    bases: Mutex<HashMap<SolveKey, Bases>>,
     /// Every solve served through this context, counted and summed —
     /// the one place a mixed engine/static-path workload can read its
     /// whole solver bill.
@@ -88,21 +111,28 @@ impl SolveContext {
         *lock_ok(&self.stats)
     }
 
-    fn cached(&self, key: SolveKey) -> Option<Arc<WarmBasis>> {
-        lock_ok(&self.bases).get(&key).cloned()
+    /// The key's feasible and proven bases.
+    fn cached(&self, key: SolveKey) -> (Option<Arc<WarmBasis>>, Option<Arc<WarmBasis>>) {
+        lock_ok(&self.bases)
+            .get(&key)
+            .map_or((None, None), |b| (b.feasible.clone(), b.proven.clone()))
     }
 
-    /// Records the outcome of one solve: count the hit/miss and, on a
-    /// miss that produced a basis, populate the cache. `or_insert`
-    /// (never overwrite): all solves under a key share one constraint
-    /// system, so any produced basis is equally valid — and if a caller
-    /// mis-keys two systems together, keeping the first avoids the two
-    /// thrashing each other out of the cache forever.
+    /// Records the outcome of one solve: count the hit/miss, populate
+    /// the feasible basis on a miss that produced one, and remember an
+    /// optimal basis that differs from the `proven` one the solve was
+    /// given. The feasible basis is never overwritten: all solves under
+    /// a key share one constraint system, so any produced basis is
+    /// equally valid — and if a caller mis-keys two systems together,
+    /// keeping the first avoids the two thrashing each other out of the
+    /// cache forever.
     fn record(
         &self,
         key: SolveKey,
         warm_used: bool,
         feasible: Option<WarmBasis>,
+        optimal: Option<WarmBasis>,
+        proven: Option<&WarmBasis>,
         stats: &SolveStats,
     ) {
         lock_ok(&self.stats).absorb(&SolverStats {
@@ -110,13 +140,18 @@ impl SolveContext {
             cold_solves: u64::from(!warm_used),
             totals: *stats,
         });
-        if warm_used {
+        let feasible = feasible.filter(|_| !warm_used);
+        let optimal = optimal.filter(|b| proven != Some(b));
+        if feasible.is_none() && optimal.is_none() {
             return;
         }
+        let mut bases = lock_ok(&self.bases);
+        let entry = bases.entry(key).or_default();
         if let Some(basis) = feasible {
-            lock_ok(&self.bases)
-                .entry(key)
-                .or_insert_with(|| Arc::new(basis));
+            entry.feasible.get_or_insert_with(|| Arc::new(basis));
+        }
+        if let Some(basis) = optimal {
+            entry.proven = Some(Arc::new(basis));
         }
     }
 
@@ -131,12 +166,14 @@ impl SolveContext {
         model: &LpModel,
         config: IlpConfig,
     ) -> Result<(Solution, IlpStats), IlpError> {
-        let warm = self.cached(key);
-        let out = solve_ilp_warm(model, config, warm.as_deref())?;
+        let (warm, proven) = self.cached(key);
+        let out = solve_ilp_warm(model, config, warm.as_deref(), proven.as_deref())?;
         self.record(
             key,
             out.root_warm_used,
             out.root_feasible_basis,
+            out.root_optimal_basis,
+            proven.as_deref(),
             &out.solution.stats,
         );
         Ok((out.solution, out.stats))
@@ -145,10 +182,17 @@ impl SolveContext {
     /// [`crate::solve_lp`] through the warm-start cache.
     #[must_use]
     pub fn solve_lp(&self, key: SolveKey, model: &LpModel) -> Solution {
-        let warm = self.cached(key);
-        let out = solve_lp_warm(model, warm.as_deref());
+        let (warm, proven) = self.cached(key);
+        let out = solve_lp_proven(model, warm.as_deref(), proven.as_deref());
         let warm_used = out.solution.stats.warm_starts > 0;
-        self.record(key, warm_used, out.feasible_basis, &out.solution.stats);
+        self.record(
+            key,
+            warm_used,
+            out.feasible_basis,
+            out.optimal_basis,
+            proven.as_deref(),
+            &out.solution.stats,
+        );
         out.solution
     }
 }
@@ -220,6 +264,64 @@ mod tests {
             .expect("solves");
         assert_eq!(s.objective, Rat::int(4));
         assert_eq!(ctx.stats().cold_solves, 2);
+    }
+
+    /// `max (obj·x) s.t. x ≤ rhs, x + y ≤ 5` under two objective
+    /// scales, both ending on the same terminal basis.
+    fn one_row(obj: Rat, rhs: Rat) -> [LpModel; 2] {
+        [1, 2].map(|scale| {
+            let mut m = LpModel::new();
+            let x = m.add_var("x");
+            let y = m.add_var("y");
+            m.add_constraint(LinExpr::new().with_term(x, 1), CmpOp::Le, rhs);
+            m.add_constraint(LinExpr::new().with_term(x, 1).with_term(y, 1), CmpOp::Le, 5);
+            m.set_objective(LinExpr::new().with_term(x, obj * Rat::int(scale)));
+            m
+        })
+    }
+
+    /// Solves both models through one context and returns the second
+    /// solve, after checking that its terminal basis is the proven one
+    /// (so its referee took the check-first branch).
+    fn second_solve(models: &[LpModel; 2]) -> Solution {
+        let ctx = SolveContext::new();
+        let key = (7, 7);
+        let first = ctx.solve_lp(key, &models[0]);
+        assert_eq!(first.stats.cert_factors, 1, "first sight factorizes");
+        let proven = ctx.cached(key).1.expect("an optimal basis is remembered");
+        let cold = crate::simplex::solve_lp_warm(&models[1], None);
+        assert_eq!(cold.optimal_basis.as_ref(), Some(&*proven));
+        let second = ctx.solve_lp(key, &models[1]);
+        assert_eq!(second.stats.certified, 1);
+        assert_eq!(second.stats.fallbacks, 0);
+        assert_eq!(second, cold.solution, "same point as a context-free solve");
+        assert_eq!(second, crate::solve_lp(&models[1]));
+        second
+    }
+
+    #[test]
+    fn integral_proposals_certify_without_factorizing() {
+        let second = second_solve(&one_row(Rat::int(3), Rat::int(4)));
+        assert_eq!(second.stats.cert_factors, 0);
+        assert_eq!(second.objective, Rat::int(24));
+    }
+
+    #[test]
+    fn bad_proposals_fall_back_to_the_factorization() {
+        let tiny = Rat::new(1, 1 << 40);
+        for (what, obj, rhs) in [
+            // x = 4/3 rounds to no integer: no proposal.
+            ("fractional", Rat::int(3), Rat::new(4, 3)),
+            // x = 4 + 2⁻⁴⁰ rounds to 4, and B·x̂ = b refutes it.
+            ("mis-rounded primal", Rat::int(3), Rat::int(4) + tiny),
+            // Row 0's dual is x's cost, (3 + 2⁻⁴⁰)·scale: it rounds to
+            // an integer, and c_B − ŷᵀB ≠ 0 refutes it.
+            ("mis-rounded dual", Rat::int(3) + tiny, Rat::int(4)),
+        ] {
+            let second = second_solve(&one_row(obj, rhs));
+            assert_eq!(second.stats.cert_factors, 1, "{what} must factorize");
+            assert_eq!(second.values[0], rhs, "{what}");
+        }
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! form as the exact solver, but keeps its basis inverse as an **eta
 //! file** (product-form updates, periodically refactorized) instead of
 //! an explicit dense `B⁻¹`, and pivots in `f64` instead of [`Rat`]. Its
-//! only job is to *propose a terminal basis*; [`crate::certify`] then
-//! proves, in exact arithmetic, that the basis is primal feasible and
-//! dual optimal. A certified basis yields the exact optimum (computed in
-//! `Rat` from the basis, not from any float); anything less — a
-//! non-optimal status claim, a numerical bail-out, a refuted basis —
-//! makes [`crate::simplex::solve_lp_warm`] rerun the exact solver from a
-//! cold start, so every returned [`Solution`] is exactly optimal either
-//! way.
+//! only job is to *propose a terminal basis* and its point;
+//! [`crate::certify`] then proves, in exact arithmetic, that the basis
+//! is primal feasible and dual optimal. A certified basis yields the
+//! exact optimum (the float point counts only once it has been rounded
+//! to integers and checked exactly); anything less — a non-optimal
+//! status claim, a numerical bail-out, a refuted basis — makes
+//! [`crate::simplex::solve_lp_warm`] rerun the exact solver from a cold
+//! start, so every returned [`Solution`] is exactly optimal either way.
 //!
 //! **Warm/cold bit-identity.** Phase 2 always starts from a *freshly
 //! refactorized* eta file of the phase-1 (or adopted) basis, and the
@@ -509,9 +509,17 @@ impl<'a> Fast<'a> {
 /// back to the exact tier (non-optimal status claim, numerical bail-out,
 /// or a refuted basis); the attempt's effort counters come back so the
 /// fallback can absorb them.
+///
+/// `proven` is a basis of the same constraint system an earlier solve
+/// already showed nonsingular. When the f64 tier ends on it, the
+/// referee checks the tier's own point instead of factorizing
+/// ([`certify::check_proposal`]); a point that does not round or fails
+/// the check still gets the factorization, so every accept/refute
+/// decision and every returned point are those of the factorization.
 pub(crate) fn solve_certified(
     model: &LpModel,
     warm: Option<&WarmBasis>,
+    proven: Option<&WarmBasis>,
 ) -> Result<LpSolve, SolveStats> {
     let rev = Revised::build(model);
     let mut t = Fast::new(&rev);
@@ -537,9 +545,24 @@ pub(crate) fn solve_certified(
         Err(_) => return Err(refute(stats)),
     };
 
+    let num_rows = rev.rhs.len();
+    let num_cols = rev.cols.len();
     let c2 = rev.phase2_costs(model);
-    let Some(point) = certify::certify_optimal(&rev, &terminal, &c2) else {
-        return Err(refute(stats));
+    let checked = proven
+        .filter(|p| p.num_rows == num_rows && p.num_cols == num_cols && p.cols == terminal)
+        .and_then(|_| {
+            t.btran_costs(&c2_f64, &mut scratch.y);
+            certify::check_proposal(&rev, &terminal, &c2, &t.xb, &scratch.y)
+        });
+    let point = match checked {
+        Some(point) => point,
+        None => {
+            stats.cert_factors += 1;
+            match certify::certify_optimal(&rev, &terminal, &c2) {
+                Some(point) => point,
+                None => return Err(refute(stats)),
+            }
+        }
     };
     let mut values = vec![crate::rational::Rat::ZERO; rev.n_struct];
     for (&col, val) in terminal.iter().zip(&point.x_basic) {
@@ -549,8 +572,6 @@ pub(crate) fn solve_certified(
     }
     let objective = model.objective().eval(&values);
     stats.certified += 1;
-    let num_rows = rev.rhs.len();
-    let num_cols = rev.cols.len();
     Ok(LpSolve {
         solution: Solution {
             status: SolveStatus::Optimal,

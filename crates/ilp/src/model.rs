@@ -309,6 +309,10 @@ pub struct SolveStats {
     pub fallbacks: u64,
     /// Eta-file refactorizations performed by the f64 simplex.
     pub eta_factors: u64,
+    /// Exact basis factorizations the referee ran. A solve through a
+    /// [`crate::SolveContext`] whose terminal basis was already proven
+    /// nonsingular checks the f64 point instead and factorizes nothing.
+    pub cert_factors: u64,
 }
 
 impl SolveStats {
@@ -325,6 +329,7 @@ impl SolveStats {
         self.certified += other.certified;
         self.fallbacks += other.fallbacks;
         self.eta_factors += other.eta_factors;
+        self.cert_factors += other.cert_factors;
     }
 }
 

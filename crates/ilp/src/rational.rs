@@ -159,13 +159,27 @@ impl Rat {
         })
     }
 
-    /// The single addition core (Knuth 4.5.1): reduce by gcd of the
+    /// The single addition entry point. Two integers take one checked
+    /// `i128` addition (no gcd, no division — the IPET hot path is all
+    /// integers); anything else takes the general core. `Err` names the
+    /// part that overflowed — the checked entry points discard it, the
+    /// panicking ones put it in the message.
+    fn add_exact(self, rhs: Rat) -> Result<Rat, &'static str> {
+        if self.den == 1 && rhs.den == 1 {
+            return self
+                .num
+                .checked_add(rhs.num)
+                .map(Rat::int)
+                .ok_or("numerator");
+        }
+        self.add_general(rhs)
+    }
+
+    /// The general addition core (Knuth 4.5.1): reduce by gcd of the
     /// denominators *before* multiplying, then reduce the numerator sum
     /// against that gcd so the final products stay as small as
-    /// possible. `Err` names the part that overflowed — the checked
-    /// entry points discard it, the panicking ones put it in the
-    /// message.
-    fn add_exact(self, rhs: Rat) -> Result<Rat, &'static str> {
+    /// possible.
+    fn add_general(self, rhs: Rat) -> Result<Rat, &'static str> {
         let g = gcd(self.den, rhs.den).max(1);
         let num = self
             .num
@@ -179,8 +193,21 @@ impl Rat {
         Ok(Rat::new(num / g2, den))
     }
 
-    /// The single multiplication core: cross-reduce before multiplying.
+    /// The single multiplication entry point: two integers take one
+    /// checked `i128` multiplication, anything else the general core.
     fn mul_exact(self, rhs: Rat) -> Result<Rat, &'static str> {
+        if self.den == 1 && rhs.den == 1 {
+            return self
+                .num
+                .checked_mul(rhs.num)
+                .map(Rat::int)
+                .ok_or("numerator");
+        }
+        self.mul_general(rhs)
+    }
+
+    /// The general multiplication core: cross-reduce before multiplying.
+    fn mul_general(self, rhs: Rat) -> Result<Rat, &'static str> {
         let g1 = gcd(self.num, rhs.den).max(1);
         let g2 = gcd(rhs.num, self.den).max(1);
         let num = (self.num / g1)
@@ -190,6 +217,17 @@ impl Rat {
             .checked_mul(rhs.den / g1)
             .ok_or("denominator")?;
         Ok(Rat::new(num, den))
+    }
+
+    /// The general comparison core: cross-multiply after reducing by
+    /// gcd(dens) — no subtraction, no re-normalization. The reduced
+    /// products cannot overflow unless the operands themselves are near
+    /// the i128 edge.
+    fn cmp_general(&self, other: &Rat) -> Ordering {
+        let g = gcd(self.den, other.den).max(1);
+        let lhs = Rat::mul_i128(self.num, other.den / g, "comparison (lhs)");
+        let rhs = Rat::mul_i128(other.num, self.den / g, "comparison (rhs)");
+        lhs.cmp(&rhs)
     }
 
     /// Overflow-checked addition: `None` instead of a panic.
@@ -334,14 +372,12 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
-        // Cross-multiply after reducing by gcd(dens) — no subtraction, no
-        // re-normalization. This is the hot operation of every simplex
-        // ratio test, and the reduced products cannot overflow unless the
-        // operands themselves are near the i128 edge.
-        let g = gcd(self.den, other.den).max(1);
-        let lhs = Rat::mul_i128(self.num, other.den / g, "comparison (lhs)");
-        let rhs = Rat::mul_i128(other.num, self.den / g, "comparison (rhs)");
-        lhs.cmp(&rhs)
+        // The hot operation of every simplex ratio test: two integers
+        // compare their numerators directly.
+        if self.den == 1 && other.den == 1 {
+            return self.num.cmp(&other.num);
+        }
+        self.cmp_general(other)
     }
 }
 
@@ -461,6 +497,71 @@ mod tests {
         assert!(lo < hi);
         assert!(hi > lo);
         assert_eq!(hi.cmp(&hi), Ordering::Equal);
+    }
+
+    /// One differential operand: `kind` 0 is a random `i64` integer, 1
+    /// and 2 integers within `k` of `±i128::MAX`, 3 a fraction with a
+    /// denominator in `2..=1001` (the general core on either side).
+    /// Never `i128::MIN`, whose negation the general core's `gcd` cannot
+    /// form in a debug build.
+    fn operand(kind: u8, a: i64, k: u64) -> Rat {
+        match kind {
+            0 => Rat::int(i128::from(a)),
+            1 => Rat::int(i128::MAX - i128::from(k)),
+            2 => Rat::int(-i128::MAX + i128::from(k)),
+            _ => Rat::new(i128::from(a), 2 + i128::from(k % 1000)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// The integer fast path agrees with the general (Knuth) cores on
+        /// every operation, overflow (`Err("numerator")`, `None`)
+        /// included.
+        #[test]
+        fn integer_fast_path_matches_the_general_core(
+            (ka, a, ja) in (0u8..=3, i64::MIN..=i64::MAX, 0u64..=1 << 20),
+            (kb, b, jb) in (0u8..=3, i64::MIN..=i64::MAX, 0u64..=1 << 20),
+        ) {
+            let (x, y) = (operand(ka, a, ja), operand(kb, b, jb));
+            // Leave out results of exactly i128::MIN (see `operand`).
+            let int = x.is_integer() && y.is_integer();
+            proptest::prop_assume!(
+                !int || (x.num.checked_add(y.num) != Some(i128::MIN)
+                    && x.num.checked_sub(y.num) != Some(i128::MIN)
+                    && x.num.checked_mul(y.num) != Some(i128::MIN))
+            );
+
+            let sum = x.add_general(y);
+            proptest::prop_assert_eq!(x.add_exact(y), sum);
+            proptest::prop_assert_eq!(x.checked_add(y), sum.ok());
+            if let Ok(s) = sum {
+                proptest::prop_assert_eq!(x + y, s);
+            }
+
+            let diff = x.add_general(-y);
+            proptest::prop_assert_eq!(x.add_exact(-y), diff);
+            proptest::prop_assert_eq!(x.checked_sub(y), diff.ok());
+            if let Ok(d) = diff {
+                proptest::prop_assert_eq!(x - y, d);
+            }
+
+            let product = x.mul_general(y);
+            proptest::prop_assert_eq!(x.mul_exact(y), product);
+            proptest::prop_assert_eq!(x.checked_mul(y), product.ok());
+            if let Ok(p) = product {
+                proptest::prop_assert_eq!(x * y, p);
+            }
+
+            // The general comparison panics when a cross product
+            // overflows (an edge integer against a fraction); both sides
+            // take that core there, so compare only where it answers.
+            if x.num.checked_mul(y.den).is_some() && y.num.checked_mul(x.den).is_some() {
+                proptest::prop_assert_eq!(x.cmp(&y), x.cmp_general(&y));
+                proptest::prop_assert_eq!(y.cmp(&x), y.cmp_general(&x));
+            }
+        }
     }
 
     #[test]

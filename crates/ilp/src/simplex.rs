@@ -91,7 +91,20 @@ pub struct LpSolve {
 /// returned optimum is exact.
 #[must_use]
 pub fn solve_lp_warm(model: &LpModel, warm: Option<&WarmBasis>) -> LpSolve {
-    let attempt = match crate::fast::solve_certified(model, warm) {
+    solve_lp_proven(model, warm, None)
+}
+
+/// [`solve_lp_warm`] with the referee's memory of the constraint system:
+/// `proven` is a basis an earlier solve of the same system already
+/// showed nonsingular (any basis a solve returned as optimal is one),
+/// so a terminal basis equal to it is checked instead of factorized —
+/// see [`crate::certify`]. Same result as without it, bit for bit.
+pub(crate) fn solve_lp_proven(
+    model: &LpModel,
+    warm: Option<&WarmBasis>,
+    proven: Option<&WarmBasis>,
+) -> LpSolve {
+    let attempt = match crate::fast::solve_certified(model, warm, proven) {
         Ok(certified) => return certified,
         Err(attempt_stats) => attempt_stats,
     };

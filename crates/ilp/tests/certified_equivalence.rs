@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use wcet_ilp::{
-    solve_ilp, solve_lp, solve_lp_exact, CmpOp, IlpConfig, LinExpr, LpModel, Rat, SolveStatus,
-    VarId,
+    solve_ilp, solve_lp, solve_lp_exact, CmpOp, IlpConfig, LinExpr, LpModel, Rat, SolveContext,
+    SolveStatus, VarId,
 };
 
 const BOX_BOUND: i64 = 8;
@@ -48,8 +48,45 @@ fn arb_model() -> impl Strategy<Value = LpModel> {
     })
 }
 
+/// `model` with its objective replaced by `coeffs`, one per variable
+/// (every `arb_model` variable is integral, so `integer_vars` lists
+/// them all).
+fn with_objective(model: &LpModel, coeffs: &[i64]) -> LpModel {
+    let mut m = model.clone();
+    m.set_objective(
+        model
+            .integer_vars()
+            .zip(coeffs)
+            .map(|(v, &c)| (v, Rat::from(c)))
+            .collect(),
+    );
+    m
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One constraint system under four objectives through one context:
+    /// warm starts and the check-first referee change nothing — every
+    /// solve equals a context-free `solve_lp` value for value and the
+    /// exact tier on the objective.
+    #[test]
+    fn context_solves_equal_context_free_ones(
+        model in arb_model(),
+        objectives in proptest::collection::vec(-3i64..=5, 12),
+    ) {
+        let ctx = SolveContext::new();
+        for coeffs in objectives.chunks(3) {
+            let m = with_objective(&model, coeffs);
+            let through = ctx.solve_lp((1, 1), &m);
+            let free = solve_lp(&m);
+            prop_assert_eq!(&through, &free);
+            prop_assert_eq!(&through.values, &free.values);
+            let exact = solve_lp_exact(&m);
+            prop_assert_eq!(through.status, exact.status);
+            prop_assert_eq!(through.objective, exact.objective);
+        }
+    }
 
     /// LP: the certified path equals the exact tier on status, exact
     /// objective, and the WCET-style ceiling.

@@ -629,8 +629,9 @@ fn main() -> Result<(), Failed> {
 
     let doc = Json::obj([
         // Schema 13: `scenarios` and every campaign block are one
-        // `run_json` document each.
-        ("schema", Json::from(13_u64)),
+        // `run_json` document each. Schema 14: every `solver` block
+        // counts `cert_factors`.
+        ("schema", Json::from(14_u64)),
         ("suite", Json::str("wcet-bench run_all")),
         (
             "total_ms",

@@ -368,11 +368,14 @@ fn run_scenarios(args: &Args, matrix: &ScenarioMatrix) -> ExitCode {
         }
     }
 
-    // A resumed run may legitimately bound nothing new, a deadline can
-    // fire before the first bound lands, and supervised failures carry
-    // their own (more precise) diagnostic and exit code — none of these
-    // is the everything-broke regression this check exists to catch.
-    if !any_bound && !run.deadline_hit && run.resumed == 0 && run.failures == 0 {
+    // A run that produced no position (`--limit 0`) had nothing to
+    // bound, a resumed run may legitimately bound nothing new, a
+    // deadline can fire before the first bound lands, and supervised
+    // failures carry their own (more precise) diagnostic and exit code —
+    // none of these is the everything-broke regression this check
+    // exists to catch.
+    if !any_bound && run.produced > 0 && !run.deadline_hit && run.resumed == 0 && run.failures == 0
+    {
         eprintln!("no cell produced a WCET bound — every cell failed to build or analyse");
         failed = true;
     }

@@ -46,6 +46,32 @@ fn clean_streaming_run_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 }
 
+/// `--limit 0` produces no position, so there is nothing to bound: a
+/// clean exit, not the everything-failed diagnostic.
+#[test]
+fn limit_zero_produces_nothing_and_exits_zero() {
+    let dir = temp_dir();
+    let spec = write_spec(&dir);
+    let out = wcet(&[
+        "scenarios",
+        "validate",
+        spec.to_str().expect("utf8"),
+        "--limit",
+        "0",
+    ]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(
+        !err.contains("no cell produced a WCET bound"),
+        "stderr: {err}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        stdout.contains("produced (after --limit)"),
+        "stdout: {stdout}"
+    );
+}
+
 /// Any flag (here `--threads`) leaves the validation density and the
 /// document's cells as they are: `validate` replays every cell.
 #[test]
