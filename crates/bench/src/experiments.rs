@@ -1704,6 +1704,60 @@ mod tests {
         assert!(run.solver.totals.phase1_skips > 0);
     }
 
+    /// E07's joint models and E03's BCET models solve without a solve
+    /// context, so no solver block counts their nodes. Each is decided
+    /// by its root relaxation: neither experiment solves a
+    /// branch-and-bound child.
+    #[test]
+    fn yield_graph_and_bcet_models_are_decided_at_the_root() {
+        for n in 2..=5usize {
+            let mut m = machine(1);
+            m.cores[0].kind = CoreKind::YieldMt { threads: n as u32 };
+            let threads: Vec<Program> = (0..n)
+                .map(|i| yield_stage(6, 2, 0x1_0000 + 0x80 * i as u64, &format!("stage{i}")))
+                .collect();
+            let mut fixpoint = FixpointStats::default();
+            let costs: Vec<BlockCosts> = threads
+                .iter()
+                .map(|p| yield_stage_costs(p, &m, &mut fixpoint))
+                .collect();
+            let trefs: Vec<&Program> = threads.iter().collect();
+            let crefs: Vec<&BlockCosts> = costs.iter().collect();
+            let rep = joint_yield_wcet(&trefs, &crefs, 6, IlpConfig::default()).expect("solves");
+            assert_eq!(rep.solver_nodes, 1, "E07 threads={n} branched");
+        }
+
+        // `Analyzer::bcet`'s costs, solved under a one-node budget: a
+        // model that branched would fail with `NodeLimit`.
+        let engine = AnalysisEngine::new(l2_bound_machine(4));
+        let an = engine.analyzer();
+        let victim = l2_bound_victim(0);
+        let bullies: Vec<_> = (1..4u32).map(|i| matmul(16, Placement::slot(i))).collect();
+        for (core, p) in std::iter::once(&victim).chain(&bullies).enumerate() {
+            let ctx = an
+                .task_context(core, 0, Vec::new(), Some(Some(0)))
+                .expect("context");
+            let hierarchy = analyze_hierarchy(
+                p,
+                &HierarchyConfig {
+                    l1i: ctx.l1i,
+                    l1d: ctx.l1d,
+                    l2: ctx.l2,
+                },
+            );
+            let input = CostInput {
+                pipeline: an.machine().pipeline,
+                timings: ctx.timings,
+                bus_wait_bound: Some(0),
+                mode: ctx.mode,
+            };
+            let costs = wcet_core::best_block_costs(p, &hierarchy, &input);
+            let root_only = wcet_core::bcet_ipet(p, &costs, IlpConfig { max_nodes: 1 })
+                .unwrap_or_else(|e| panic!("E03 BCET of {} branched: {e}", p.name()));
+            assert_eq!(root_only, an.bcet(p, core, 0).expect("analyses"));
+        }
+    }
+
     #[test]
     fn exp12_rows_order_solo_below_isolated() {
         let run = exp12();

@@ -1,5 +1,5 @@
 //! Structured reporting of a run: one machine-readable JSON document
-//! (`wcet scenarios` schema 5) and one rendered Markdown document. Both
+//! (`wcet scenarios` schema 6) and one rendered Markdown document. Both
 //! always carry the run's totals, and add every cell — failed ones
 //! included — when the run kept its cells
 //! ([`super::CampaignOptions::keep_cells`]).
@@ -14,8 +14,9 @@ use crate::json::Json;
 
 /// The JSON schema version of [`run_json`] documents (4: one document
 /// for every run, with `cells` when kept and a `failure` object on each
-/// failed cell; 5: the `solver` block counts `cert_factors`).
-pub const SCHEMA: u64 = 5;
+/// failed cell; 5: the `solver` block counts `cert_factors`; 6: it no
+/// longer counts `dual_pivots` or `refactorizations`).
+pub const SCHEMA: u64 = 6;
 
 fn fingerprint_hex(fp: (u64, u64)) -> String {
     format!("{:016x}{:016x}", fp.0, fp.1)
@@ -336,7 +337,7 @@ mod tests {
         let run = tiny_run(true);
         assert_eq!(run.cells.len(), 2);
         let doc = run_json(&run).to_string();
-        assert!(doc.contains("\"schema\":5"));
+        assert!(doc.contains("\"schema\":6"));
         assert!(doc.contains("\"suite\":\"wcet scenarios\""));
         assert!(doc.contains("\"matrix\":\"tiny\""));
         assert!(doc.contains("\"unique\":2"));

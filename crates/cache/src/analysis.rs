@@ -48,14 +48,6 @@ pub enum Classification {
     NotClassified,
 }
 
-impl Classification {
-    /// True if the worst case at this level is a hit.
-    #[must_use]
-    pub fn is_always_hit(self) -> bool {
-        matches!(self, Classification::AlwaysHit)
-    }
-}
-
 impl fmt::Display for Classification {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -65,13 +65,6 @@ impl DynamicLockPlan {
     pub fn region_of(&self, block: BlockId) -> Option<&LockRegion> {
         self.regions.iter().find(|r| r.blocks.contains(&block))
     }
-
-    /// Total reload cost in line loads (each region reloads its contents
-    /// once per entry; entry counts multiply in the caller's cost model).
-    #[must_use]
-    pub fn reload_lines_per_region(&self) -> Vec<usize> {
-        self.regions.iter().map(|r| r.lines.len()).collect()
-    }
 }
 
 /// Per-line worst-case *use* frequency over a block subset.

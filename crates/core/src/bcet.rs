@@ -97,20 +97,18 @@ pub fn best_block_costs(
 pub fn bcet_ipet(program: &Program, costs: &BlockCosts, ilp: IlpConfig) -> Result<u64, IpetError> {
     let cfg = program.cfg();
     let mut model = LpModel::new();
-    let x: std::collections::BTreeMap<BlockId, VarId> = cfg
-        .block_ids()
-        .map(|b| (b, model.add_int_var(format!("x_{b}"))))
-        .collect();
+    let x: std::collections::BTreeMap<BlockId, VarId> =
+        cfg.block_ids().map(|b| (b, model.add_int_var())).collect();
     let f: std::collections::BTreeMap<Edge, VarId> = cfg
         .edges()
         .into_iter()
-        .map(|e| (e, model.add_int_var(format!("f_{e}"))))
+        .map(|e| (e, model.add_int_var()))
         .collect();
-    let f_entry = model.add_int_var("f_entry");
+    let f_entry = model.add_int_var();
     let f_exit: std::collections::BTreeMap<BlockId, VarId> = cfg
         .exits()
         .iter()
-        .map(|&b| (b, model.add_int_var(format!("fx_{b}"))))
+        .map(|&b| (b, model.add_int_var()))
         .collect();
     model.add_constraint(LinExpr::new().with_term(f_entry, 1), CmpOp::Eq, 1);
     for b in cfg.block_ids() {

@@ -656,21 +656,6 @@ impl AnalysisEngine {
         self.analyze_ctx_prior(program, &ctx, mode.name(), prior)
     }
 
-    /// The memoized equivalent of [`Analyzer::analyze_with_context`].
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisError`].
-    pub fn analyze_in_context(
-        &self,
-        program: &Program,
-        ctx: &TaskContext,
-        mode_name: &str,
-    ) -> Result<WcetReport, AnalysisError> {
-        self.analyze_ctx_prior(program, ctx, mode_name, None)
-            .map(|(report, _)| report)
-    }
-
     fn analyze_ctx_prior(
         &self,
         program: &Program,

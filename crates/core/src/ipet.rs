@@ -11,43 +11,23 @@ use std::fmt;
 
 use wcet_ilp::{
     solve_ilp, solve_lp, CmpOp, IlpConfig, IlpError, LinExpr, LpModel, Rat, SolveStats,
-    SolveStatus, SolverStats, VarId,
+    SolveStatus, VarId,
 };
 use wcet_ir::fingerprint::program_fingerprint;
 use wcet_ir::{BlockId, Edge, Program};
 use wcet_pipeline::cost::BlockCosts;
 
-/// A warm-start cache for the IPET hot path, keyed by program content.
+/// The warm-start cache of the IPET hot path, keyed by program content.
 ///
 /// Interference/partition/lock sweeps re-analyse one task under many
 /// cost models. The flow-constraint system of the IPET ILP depends only
 /// on the program (CFG, loop bounds, infeasible pairs) — costs shape the
 /// *objective* alone — so every sweep point solves the same constraint
-/// system. `SolveContext` caches its phase-1 feasible basis (via
-/// [`wcet_ilp::SolveContext`]) and every re-solve skips phase 1.
-/// Results are bit-identical to cold solves by construction; a context
-/// is a pure accelerator and can be shared across threads.
-#[derive(Debug, Default)]
-pub struct SolveContext {
-    inner: wcet_ilp::SolveContext,
-}
-
-impl SolveContext {
-    /// Creates an empty context.
-    #[must_use]
-    pub fn new() -> SolveContext {
-        SolveContext::default()
-    }
-
-    /// Warm-hit / cold-solve counters and the summed per-solve effort
-    /// counters (pivots, certified f64 solves, fallbacks, eta
-    /// refactorizations…) of every IPET solve served through this
-    /// context — engine-family *and* statically-controlled paths alike.
-    #[must_use]
-    pub fn stats(&self) -> SolverStats {
-        self.inner.stats()
-    }
-}
+/// system. The context caches its phase-1 feasible basis under the
+/// program's fingerprint and every re-solve skips phase 1. Results are
+/// bit-identical to cold solves by construction; a context is a pure
+/// accelerator and can be shared across threads.
+pub use wcet_ilp::SolveContext;
 
 /// IPET options.
 #[derive(Debug, Clone, Copy)]
@@ -175,20 +155,14 @@ fn wcet_ipet_in(
     let mut model = LpModel::new();
 
     // Variables.
-    let x: BTreeMap<BlockId, VarId> = cfg
-        .block_ids()
-        .map(|b| (b, model.add_int_var(format!("x_{b}"))))
-        .collect();
+    let x: BTreeMap<BlockId, VarId> = cfg.block_ids().map(|b| (b, model.add_int_var())).collect();
     let edges = cfg.edges();
-    let f: BTreeMap<Edge, VarId> = edges
-        .iter()
-        .map(|&e| (e, model.add_int_var(format!("f_{e}"))))
-        .collect();
-    let f_entry = model.add_int_var("f_entry");
+    let f: BTreeMap<Edge, VarId> = edges.iter().map(|&e| (e, model.add_int_var())).collect();
+    let f_entry = model.add_int_var();
     let f_exit: BTreeMap<BlockId, VarId> = cfg
         .exits()
         .iter()
-        .map(|&b| (b, model.add_int_var(format!("fx_{b}"))))
+        .map(|&b| (b, model.add_int_var()))
         .collect();
 
     // The task executes exactly once.
@@ -283,10 +257,10 @@ fn wcet_ipet_in(
         Some(ctx) => {
             let key = program_fingerprint(program);
             if opts.integer {
-                let (s, stats) = ctx.inner.solve_ilp(key, &model, opts.ilp)?;
+                let (s, stats) = ctx.solve_ilp(key, &model, opts.ilp)?;
                 (s, stats.nodes)
             } else {
-                (ctx.inner.solve_lp(key, &model), 0)
+                (ctx.solve_lp(key, &model), 0)
             }
         }
         None => {

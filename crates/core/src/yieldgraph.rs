@@ -99,20 +99,18 @@ pub fn joint_yield_wcet(
     // Per-thread IPET systems (each thread executes exactly once).
     for (tid, (program, cost)) in threads.iter().zip(costs).enumerate() {
         let cfg = program.cfg();
-        let x: BTreeMap<BlockId, VarId> = cfg
-            .block_ids()
-            .map(|b| (b, model.add_int_var(format!("t{tid}_x_{b}"))))
-            .collect();
+        let x: BTreeMap<BlockId, VarId> =
+            cfg.block_ids().map(|b| (b, model.add_int_var())).collect();
         let f: BTreeMap<Edge, VarId> = cfg
             .edges()
             .into_iter()
-            .map(|e| (e, model.add_int_var(format!("t{tid}_f_{e}"))))
+            .map(|e| (e, model.add_int_var()))
             .collect();
-        let f_entry = model.add_int_var(format!("t{tid}_fin"));
+        let f_entry = model.add_int_var();
         let f_exit: BTreeMap<BlockId, VarId> = cfg
             .exits()
             .iter()
-            .map(|&b| (b, model.add_int_var(format!("t{tid}_fx_{b}"))))
+            .map(|&b| (b, model.add_int_var()))
             .collect();
         model.add_constraint(LinExpr::new().with_term(f_entry, 1), CmpOp::Eq, 1);
         for b in cfg.block_ids() {
@@ -179,7 +177,7 @@ pub fn joint_yield_wcet(
                 if other == tid && threads.len() > 1 {
                     continue;
                 }
-                let y = model.add_int_var(format!("t{tid}_y_{yb}_to_t{other}"));
+                let y = model.add_int_var();
                 yield_edge_vars.push(y);
                 transfer_sum.add_term(y, 1);
                 obj.add_term(y, Rat::from(switch_cost));

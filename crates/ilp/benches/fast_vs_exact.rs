@@ -13,7 +13,7 @@ use wcet_ilp::{solve_lp, solve_lp_exact, CmpOp, LinExpr, LpModel};
 fn transport_model(n: usize) -> LpModel {
     let mut m = LpModel::new();
     let vars: Vec<Vec<_>> = (0..n)
-        .map(|i| (0..n).map(|j| m.add_var(format!("x{i}_{j}"))).collect())
+        .map(|_| (0..n).map(|_| m.add_var()).collect())
         .collect();
     for (i, row) in vars.iter().enumerate() {
         let mut supply = LinExpr::new();

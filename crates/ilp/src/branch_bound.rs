@@ -1,22 +1,19 @@
-//! Integer optimisation via branch & bound on the exact LP relaxation,
-//! with **warm-started child nodes**.
+//! Integer optimisation via branch & bound on the LP relaxation.
 //!
-//! Branching appends a single variable-bound row to the parent's
-//! (already solved) instance. The parent's optimal basis, extended with
-//! the new row's slack, stays *dual feasible* — the bordered basis
-//! `B' = [[B, 0], [gᵀ, 1]]` keeps every reduced cost unchanged — so each
-//! child re-solves with a handful of dual-simplex pivots instead of a
-//! cold two-phase solve. An up-branch `x ≥ u` is encoded as `-x ≤ -u` so
-//! the appended row always carries a basic slack (no artificials, no
-//! phase 1). Child nodes that lose their warm basis (never expected —
-//! a bordered extension of an invertible basis is invertible) fall back
-//! to a cold solve of the equivalent constraint-extended model.
+//! A node is the model plus its branch trail: one `x ≤ ⌊v⌋` or
+//! `x ≥ ⌈v⌉` constraint per branching decision on the way down. Every
+//! node, root or child, is solved by the one LP path of
+//! [`crate::simplex`] — the f64 tier proposes a basis, the exact referee
+//! certifies it, and a refuted basis reruns on the exact tier from a
+//! cold start — so each node costs exactly one two-tier solve. Only the
+//! root gets the caller's cached bases: a child is a different
+//! constraint system, so it solves cold.
 
 use std::fmt;
 
 use crate::model::{CmpOp, LinExpr, LpModel, Solution, SolveStats, SolveStatus, VarId};
 use crate::rational::Rat;
-use crate::simplex::{solve_lp_proven, solve_lp_warm, Revised, WarmBasis};
+use crate::simplex::{solve_lp_proven, WarmBasis};
 
 /// Branch-and-bound configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,19 +75,13 @@ pub(crate) struct IlpOutcome {
     pub root_optimal_basis: Option<WarmBasis>,
 }
 
-/// One branching decision: `var <= bound` (down) or `var >= bound` (up).
+/// One branching decision: `var <= bound` (down, [`CmpOp::Le`]) or
+/// `var >= bound` (up, [`CmpOp::Ge`]).
 #[derive(Clone, Copy)]
 struct Branch {
     var: VarId,
-    upper: bool,
+    op: CmpOp,
     bound: Rat,
-}
-
-/// A pending subproblem: the branch trail plus the parent's optimal
-/// basis (columns per row of the parent's extended instance).
-struct Node {
-    bounds: Vec<Branch>,
-    parent_basis: Option<Vec<usize>>,
 }
 
 /// Solves `model` to integer optimality (variables marked integral must take
@@ -122,12 +113,10 @@ pub(crate) fn solve_ilp_warm(
     let mut root_warm_used = false;
     let mut root_optimal_basis = None;
 
-    let mut stack: Vec<Node> = vec![Node {
-        bounds: Vec::new(),
-        parent_basis: None,
-    }];
+    // Pending nodes, each as its branch trail; the root's is empty.
+    let mut stack: Vec<Vec<Branch>> = vec![Vec::new()];
 
-    while let Some(node) = stack.pop() {
+    while let Some(trail) = stack.pop() {
         if stats.nodes >= config.max_nodes {
             return Err(IlpError::NodeLimit {
                 limit: config.max_nodes,
@@ -135,17 +124,16 @@ pub(crate) fn solve_ilp_warm(
         }
         stats.nodes += 1;
 
-        let (relax, optimal_basis) = if node.bounds.is_empty() {
-            // Root relaxation (optionally warm-started by the caller).
+        let relax = if trail.is_empty() {
             let r = solve_lp_proven(model, warm_root, proven_root);
-            agg.absorb(&r.solution.stats);
             root_warm_used = r.solution.stats.warm_starts > 0;
             root_feasible_basis = r.feasible_basis;
-            root_optimal_basis.clone_from(&r.optimal_basis);
-            (r.solution, r.optimal_basis.map(|b| b.cols))
+            root_optimal_basis = r.optimal_basis;
+            r.solution
         } else {
-            solve_child(model, &node, &mut agg)
+            solve_lp_proven(&with_trail(model, &trail), None, None).solution
         };
+        agg.absorb(&relax.stats);
 
         match relax.status {
             SolveStatus::Infeasible => continue,
@@ -189,28 +177,22 @@ pub(crate) fn solve_ilp_warm(
                 }
             }
             Some((v, val, _)) => {
-                let mut b_down = node.bounds.clone();
-                b_down.push(Branch {
+                let mut down = trail.clone();
+                down.push(Branch {
                     var: v,
-                    upper: true,
+                    op: CmpOp::Le,
                     bound: Rat::int(val.floor()),
                 });
-                let mut b_up = node.bounds;
-                b_up.push(Branch {
+                let mut up = trail;
+                up.push(Branch {
                     var: v,
-                    upper: false,
+                    op: CmpOp::Ge,
                     bound: Rat::int(val.ceil()),
                 });
                 // Push "down" first so the "up" branch (usually better for
                 // maximisation of counts) is explored first.
-                stack.push(Node {
-                    bounds: b_down,
-                    parent_basis: optimal_basis.clone(),
-                });
-                stack.push(Node {
-                    bounds: b_up,
-                    parent_basis: optimal_basis,
-                });
+                stack.push(down);
+                stack.push(up);
             }
         }
     }
@@ -229,49 +211,13 @@ pub(crate) fn solve_ilp_warm(
     })
 }
 
-/// Solves a non-root node: dual simplex from the parent's optimal basis
-/// when available, cold otherwise. Returns the relaxation solution and
-/// (when optimal) the node's optimal basis for its own children.
-fn solve_child(
-    model: &LpModel,
-    node: &Node,
-    agg: &mut SolveStats,
-) -> (Solution, Option<Vec<usize>>) {
-    if let Some(parent) = &node.parent_basis {
-        let mut t = Revised::build(model);
-        let mut last_slack = 0;
-        for br in &node.bounds {
-            last_slack = t.append_bound_row(br.var.index(), br.upper, br.bound);
-        }
-        // The parent basis covers every row except the newest bound row,
-        // whose slack is basic by construction.
-        let mut basis = parent.clone();
-        basis.push(last_slack);
-        if t.try_warm_start_dual(&basis) {
-            let c = t.phase2_costs(model);
-            let feasible = t.dual(&c);
-            agg.absorb(&t.stats);
-            return if feasible {
-                let optimal = t.warm_basis().cols;
-                (t.finish(SolveStatus::Optimal, model), Some(optimal))
-            } else {
-                (t.finish(SolveStatus::Infeasible, model), None)
-            };
-        }
-        agg.absorb(&t.stats);
+/// A child node's model: `model` plus one bound constraint per branch.
+fn with_trail(model: &LpModel, trail: &[Branch]) -> LpModel {
+    let mut node = model.clone();
+    for br in trail {
+        node.add_constraint(LinExpr::new().with_term(br.var, Rat::ONE), br.op, br.bound);
     }
-    // Cold fallback: rebuild the node as a constraint-extended model.
-    // Its column layout differs from the append layout, so the basis is
-    // not propagated — children of a cold node also solve cold.
-    let mut node_model = model.clone();
-    for br in &node.bounds {
-        let expr = LinExpr::new().with_term(br.var, Rat::ONE);
-        let op = if br.upper { CmpOp::Le } else { CmpOp::Ge };
-        node_model.add_constraint(expr, op, br.bound);
-    }
-    let r = solve_lp_warm(&node_model, None);
-    agg.absorb(&r.solution.stats);
-    (r.solution, None)
+    node
 }
 
 #[cfg(test)]
@@ -292,22 +238,22 @@ mod tests {
         // max 5x + 4y  s.t.  6x + 5y <= 10, x,y integer >= 0.
         // LP optimum fractional; ILP optimum x=0,y=2 (8) or x=1,y=0 (5) →  8.
         let mut m = LpModel::new();
-        let x = m.add_int_var("x");
-        let y = m.add_int_var("y");
+        let x = m.add_int_var();
+        let y = m.add_int_var();
         m.add_constraint(expr(&[(x, 6), (y, 5)]), CmpOp::Le, 10);
         m.set_objective(expr(&[(x, 5), (y, 4)]));
         let (s, stats) = solve_ilp(&m, IlpConfig::default()).expect("solved");
         assert_eq!(s.status, SolveStatus::Optimal);
         assert_eq!(s.objective, Rat::int(8));
         assert!(stats.nodes >= 1);
-        // Children were warm-started via dual simplex, not cold-solved.
-        assert!(stats.nodes == 1 || s.stats.dual_pivots > 0);
+        // Every node, root or child, is exactly one two-tier solve.
+        assert_eq!(s.stats.f64_solves, stats.nodes as u64);
     }
 
     #[test]
     fn integral_relaxation_takes_one_node() {
         let mut m = LpModel::new();
-        let x = m.add_int_var("x");
+        let x = m.add_int_var();
         m.add_constraint(expr(&[(x, 1)]), CmpOp::Le, 3);
         m.set_objective(expr(&[(x, 1)]));
         let (s, stats) = solve_ilp(&m, IlpConfig::default()).expect("solved");
@@ -319,7 +265,7 @@ mod tests {
     fn infeasible_ilp() {
         // 2x == 1 with x integer: LP feasible (x=1/2), ILP infeasible.
         let mut m = LpModel::new();
-        let x = m.add_int_var("x");
+        let x = m.add_int_var();
         m.add_constraint(expr(&[(x, 2)]), CmpOp::Eq, 1);
         m.set_objective(expr(&[(x, 1)]));
         let (s, _) = solve_ilp(&m, IlpConfig::default()).expect("finished");
@@ -329,7 +275,7 @@ mod tests {
     #[test]
     fn unbounded_detected() {
         let mut m = LpModel::new();
-        let x = m.add_int_var("x");
+        let x = m.add_int_var();
         m.set_objective(expr(&[(x, 1)]));
         assert_eq!(
             solve_ilp(&m, IlpConfig::default()).unwrap_err(),
@@ -340,7 +286,7 @@ mod tests {
     #[test]
     fn node_limit_enforced() {
         let mut m = LpModel::new();
-        let vars: Vec<VarId> = (0..6).map(|i| m.add_int_var(format!("x{i}"))).collect();
+        let vars: Vec<VarId> = (0..6).map(|_| m.add_int_var()).collect();
         // A system with many fractional vertices.
         for w in vars.windows(2) {
             m.add_constraint(expr(&[(w[0], 2), (w[1], 2)]), CmpOp::Le, 3);
@@ -359,8 +305,8 @@ mod tests {
         // max x + y, x integer, y continuous; x + y <= 5/2; y <= 1/2.
         // Optimum: y = 1/2, x = 2 → 5/2.
         let mut m = LpModel::new();
-        let x = m.add_int_var("x");
-        let y = m.add_var("y");
+        let x = m.add_int_var();
+        let y = m.add_var();
         let mut e = LinExpr::new();
         e.add_term(x, 1).add_term(y, 1);
         m.add_constraint(e, CmpOp::Le, Rat::new(5, 2));
@@ -374,12 +320,12 @@ mod tests {
 
     #[test]
     fn deep_branching_with_equalities() {
-        // Equalities force phase 1 at the root; branching then exercises
-        // the dual warm path across several levels.
+        // Equalities force phase 1 at the root and at every child;
+        // branching runs several levels deep.
         let mut m = LpModel::new();
-        let x = m.add_int_var("x");
-        let y = m.add_int_var("y");
-        let z = m.add_int_var("z");
+        let x = m.add_int_var();
+        let y = m.add_int_var();
+        let z = m.add_int_var();
         m.add_constraint(expr(&[(x, 2), (y, 3), (z, 5)]), CmpOp::Eq, 17);
         m.add_constraint(expr(&[(x, 1), (y, 1), (z, 1)]), CmpOp::Le, 6);
         m.set_objective(expr(&[(x, 3), (y, 4), (z, 7)]));

@@ -150,8 +150,8 @@ mod tests {
         // max 3x + 2y s.t. x + y ≤ 4, x + 3y ≤ 6 pivots at least once;
         // a zero-pivot budget must abort it with the typed payload.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(LinExpr::new().with_term(x, 1).with_term(y, 1), CmpOp::Le, 4);
         m.add_constraint(LinExpr::new().with_term(x, 1).with_term(y, 3), CmpOp::Le, 6);
         m.set_objective(LinExpr::new().with_term(x, 3).with_term(y, 2));

@@ -281,8 +281,8 @@ mod tests {
     /// {x, slack of row 1}.
     fn textbook() -> LpModel {
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Le, 4);
         m.add_constraint(expr(&[(x, 1), (y, 3)]), CmpOp::Le, 6);
         m.set_objective(expr(&[(x, 3), (y, 2)]));
@@ -375,8 +375,8 @@ mod tests {
         // A negative x̂ alone: with row 1's rhs at 2 the optimal basis
         // still solves B·x̂ = b with the same duals, at slack −2.
         let mut neg = LpModel::new();
-        let x = neg.add_var("x");
-        let y = neg.add_var("y");
+        let x = neg.add_var();
+        let y = neg.add_var();
         neg.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Le, 4);
         neg.add_constraint(expr(&[(x, 1), (y, 3)]), CmpOp::Le, 2);
         neg.set_objective(expr(&[(x, 3), (y, 2)]));
@@ -385,7 +385,7 @@ mod tests {
         // A nonzero basic artificial alone: max −x s.t. x = 3 with the
         // artificial basic at 3 satisfies B·x̂ = b and prices x at −1.
         let mut art = LpModel::new();
-        let x = art.add_var("x");
+        let x = art.add_var();
         art.add_constraint(expr(&[(x, 1)]), CmpOp::Eq, 3);
         art.set_objective(expr(&[(x, -1)]));
         assert_eq!(check(&art, &[1], &[3.0], &[0.0]), None);

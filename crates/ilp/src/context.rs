@@ -206,9 +206,9 @@ mod tests {
     /// An equality-heavy model whose objective is parameterized.
     fn model(obj: &[i64; 3]) -> LpModel {
         let mut m = LpModel::new();
-        let x = m.add_int_var("x");
-        let y = m.add_int_var("y");
-        let z = m.add_var("z");
+        let x = m.add_int_var();
+        let y = m.add_int_var();
+        let z = m.add_var();
         m.add_constraint(
             LinExpr::new()
                 .with_term(x, 1)
@@ -256,7 +256,7 @@ mod tests {
         // A structurally different model under the same key: dimensions
         // disagree, so the cached basis is rejected, not misused.
         let mut other = LpModel::new();
-        let x = other.add_var("x");
+        let x = other.add_var();
         other.add_constraint(LinExpr::new().with_term(x, 1), CmpOp::Le, 4);
         other.set_objective(LinExpr::new().with_term(x, 1));
         let (s, _) = ctx
@@ -271,8 +271,8 @@ mod tests {
     fn one_row(obj: Rat, rhs: Rat) -> [LpModel; 2] {
         [1, 2].map(|scale| {
             let mut m = LpModel::new();
-            let x = m.add_var("x");
-            let y = m.add_var("y");
+            let x = m.add_var();
+            let y = m.add_var();
             m.add_constraint(LinExpr::new().with_term(x, 1), CmpOp::Le, rhs);
             m.add_constraint(LinExpr::new().with_term(x, 1).with_term(y, 1), CmpOp::Le, 5);
             m.set_objective(LinExpr::new().with_term(x, obj * Rat::int(scale)));
@@ -289,7 +289,7 @@ mod tests {
         let first = ctx.solve_lp(key, &models[0]);
         assert_eq!(first.stats.cert_factors, 1, "first sight factorizes");
         let proven = ctx.cached(key).1.expect("an optimal basis is remembered");
-        let cold = crate::simplex::solve_lp_warm(&models[1], None);
+        let cold = crate::simplex::solve_lp_proven(&models[1], None, None);
         assert_eq!(cold.optimal_basis.as_ref(), Some(&*proven));
         let second = ctx.solve_lp(key, &models[1]);
         assert_eq!(second.stats.certified, 1);

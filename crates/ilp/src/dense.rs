@@ -286,8 +286,8 @@ mod tests {
     fn oracle_still_solves_the_textbook_model() {
         // max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6  → 12 at (4, 0).
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Le, 4);
         m.add_constraint(expr(&[(x, 1), (y, 3)]), CmpOp::Le, 6);
         m.set_objective(expr(&[(x, 3), (y, 2)]));

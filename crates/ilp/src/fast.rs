@@ -10,7 +10,7 @@
 //! exact optimum (the float point counts only once it has been rounded
 //! to integers and checked exactly); anything less — a non-optimal
 //! status claim, a numerical bail-out, a refuted basis — makes
-//! [`crate::simplex::solve_lp_warm`] rerun the exact solver from a cold
+//! [`crate::simplex::solve_lp_proven`] rerun the exact solver from a cold
 //! start, so every returned [`Solution`] is exactly optimal either way.
 //!
 //! **Warm/cold bit-identity.** Phase 2 always starts from a *freshly
@@ -20,10 +20,10 @@
 //! byte-for-byte float trajectory a cold solve takes after its own
 //! phase 1 produced the same `B` — so the certified vertex, like the
 //! exact tier's, cannot depend on who populated the cache. This holds
-//! because every *cached* basis has f64-phase-1 provenance: the
-//! fallback path deliberately withholds the exact tier's feasible basis
-//! (see `solve_lp_warm`), so an adopted basis is always the one a cold
-//! f64 solve of the same system would have produced.
+//! because every *cached* basis has f64-phase-1 provenance: the exact
+//! tier never reports a feasible basis (see `simplex::solve_exact`), so
+//! an adopted basis is always the one a cold f64 solve of the same
+//! system would have produced.
 
 use crate::certify;
 use crate::model::{LpModel, Solution, SolveStats, SolveStatus};

@@ -5,15 +5,16 @@
 //! the WCET bound. Because the bound must never be under-estimated, this
 //! solver works over **exact rationals** ([`Rat`]) rather than floats:
 //!
-//! * [`simplex`] — the **two-tier** sparse revised simplex: a
-//!   speculative f64 eta-file simplex runs first and its terminal basis
-//!   is certified by one exact pass (feasibility + optimality over
-//!   [`Rat`]); refuted or ill-conditioned solves fall back to the exact
-//!   tier (Dantzig pricing with a Bland anti-cycling fallback,
-//!   warm-startable from a cached basis), so every returned optimum is
-//!   exact by construction — see [`solve_lp_warm`] vs [`solve_lp_exact`];
-//! * [`branch_bound`] — branch & bound whose child nodes re-solve via
-//!   dual simplex from the parent's optimal basis;
+//! * [`simplex`] — the one **two-tier** LP path: a speculative f64
+//!   eta-file simplex runs first and its terminal basis is certified by
+//!   one exact pass (feasibility + optimality over [`Rat`]); refuted or
+//!   ill-conditioned solves rerun on the exact sparse revised simplex
+//!   (Dantzig pricing with a Bland anti-cycling fallback), always from a
+//!   cold start, so every returned optimum is exact by construction —
+//!   see [`solve_lp`] vs [`solve_lp_exact`];
+//! * [`branch_bound`] — branch & bound whose every node, root or child
+//!   (the model plus its branch trail as constraints), is one solve on
+//!   that path;
 //! * [`context`] — [`SolveContext`], a cross-solve cache of phase-1
 //!   feasible bases for sweep workloads that re-solve one constraint
 //!   system under many objectives;
@@ -29,8 +30,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // max 5x + 4y  s.t.  6x + 5y <= 10  (x, y integer)
 //! let mut m = LpModel::new();
-//! let x = m.add_int_var("x");
-//! let y = m.add_int_var("y");
+//! let x = m.add_int_var();
+//! let y = m.add_int_var();
 //! m.add_constraint(LinExpr::new().with_term(x, 6).with_term(y, 5), CmpOp::Le, 10);
 //! m.set_objective(LinExpr::new().with_term(x, 5).with_term(y, 4));
 //! let (solution, _stats) = solve_ilp(&m, IlpConfig::default())?;
@@ -61,6 +62,4 @@ pub use dag::{longest_path, CycleError};
 pub use dense::solve_lp_dense;
 pub use model::{CmpOp, Constraint, LinExpr, LpModel, Solution, SolveStats, SolveStatus, VarId};
 pub use rational::Rat;
-pub use simplex::{
-    solve_lp, solve_lp_exact, solve_lp_exact_warm, solve_lp_warm, LpSolve, WarmBasis,
-};
+pub use simplex::{solve_lp, solve_lp_exact};

@@ -142,7 +142,7 @@ pub struct Constraint {
 /// `x >= 0`.
 #[derive(Debug, Clone, Default)]
 pub struct LpModel {
-    names: Vec<String>,
+    /// Per variable: integral?
     integer: Vec<bool>,
     constraints: Vec<Constraint>,
     objective: LinExpr,
@@ -156,15 +156,14 @@ impl LpModel {
     }
 
     /// Adds a continuous variable (`x >= 0`).
-    pub fn add_var(&mut self, name: impl Into<String>) -> VarId {
-        self.names.push(name.into());
+    pub fn add_var(&mut self) -> VarId {
         self.integer.push(false);
-        VarId(self.names.len() - 1)
+        VarId(self.integer.len() - 1)
     }
 
     /// Adds an integer variable (`x >= 0`, integral).
-    pub fn add_int_var(&mut self, name: impl Into<String>) -> VarId {
-        let v = self.add_var(name);
+    pub fn add_int_var(&mut self) -> VarId {
+        let v = self.add_var();
         self.integer[v.index()] = true;
         v
     }
@@ -172,23 +171,13 @@ impl LpModel {
     /// Number of variables.
     #[must_use]
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.integer.len()
     }
 
     /// Number of constraints.
     #[must_use]
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Variable name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` does not belong to this model.
-    #[must_use]
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.names[var.index()]
     }
 
     /// True if the variable is integral.
@@ -285,20 +274,16 @@ impl fmt::Display for SolveStatus {
 /// even when one was warm-started and pivoted less.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Total simplex pivots (primal + dual, all phases).
+    /// Total simplex pivots (all phases, both tiers).
     pub pivots: u64,
     /// Pivots spent in phase 1 (feasibility search).
     pub phase1_pivots: u64,
-    /// Dual-simplex pivots (warm-started re-solves).
-    pub dual_pivots: u64,
     /// Pivots taken under the Bland anti-cycling fallback.
     pub bland_pivots: u64,
     /// Solves that started from a reused basis instead of cold.
     pub warm_starts: u64,
     /// Solves that skipped phase 1 entirely thanks to a warm basis.
     pub phase1_skips: u64,
-    /// Warm bases rebuilt by refactorization.
-    pub refactorizations: u64,
     /// Solves attempted on the speculative f64 fast path.
     pub f64_solves: u64,
     /// Fast-path solves whose terminal basis passed exact certification
@@ -320,11 +305,9 @@ impl SolveStats {
     pub fn absorb(&mut self, other: &SolveStats) {
         self.pivots += other.pivots;
         self.phase1_pivots += other.phase1_pivots;
-        self.dual_pivots += other.dual_pivots;
         self.bland_pivots += other.bland_pivots;
         self.warm_starts += other.warm_starts;
         self.phase1_skips += other.phase1_skips;
-        self.refactorizations += other.refactorizations;
         self.f64_solves += other.f64_solves;
         self.certified += other.certified;
         self.fallbacks += other.fallbacks;
@@ -394,8 +377,8 @@ mod tests {
     #[test]
     fn linexpr_accumulates_and_cancels() {
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         let mut e = LinExpr::new();
         e.add_term(x, 2).add_term(y, 3).add_term(x, -2);
         assert_eq!(e.coeff(x), Rat::ZERO);
@@ -406,8 +389,8 @@ mod tests {
     #[test]
     fn feasibility_check() {
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(LinExpr::new().with_term(x, 1).with_term(y, 1), CmpOp::Le, 4);
         m.add_constraint(LinExpr::new().with_term(x, 1), CmpOp::Ge, 1);
         assert!(m.is_feasible(&[Rat::int(1), Rat::int(3)]));
@@ -419,8 +402,8 @@ mod tests {
     #[test]
     fn eval_matches_terms() {
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         let e = LinExpr::new().with_term(x, 2).with_term(y, Rat::new(1, 2));
         assert_eq!(e.eval(&[Rat::int(3), Rat::int(4)]), Rat::int(8));
     }

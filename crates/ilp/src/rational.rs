@@ -18,14 +18,12 @@ pub struct Rat {
     den: i128,
 }
 
-const fn gcd(mut a: i128, mut b: i128) -> i128 {
-    // Plain Euclid on absolute values.
-    if a < 0 {
-        a = -a;
-    }
-    if b < 0 {
-        b = -b;
-    }
+/// Euclid on the magnitudes, so every `i128` pair has a gcd:
+/// `gcd(i128::MIN, i128::MIN)` is 2^127. Only [`Rat::new`] can meet
+/// that one; every other caller passes a positive denominator, whose
+/// divisors all fit `i128`.
+const fn gcd(a: i128, b: i128) -> u128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
         let t = a % b;
         a = b;
@@ -34,25 +32,40 @@ const fn gcd(mut a: i128, mut b: i128) -> i128 {
     a
 }
 
+/// [`gcd`] where `den` is a positive denominator, so the result fits.
+const fn gcd_den(x: i128, den: i128) -> i128 {
+    gcd(x, den) as i128
+}
+
 impl Rat {
     /// Zero.
     pub const ZERO: Rat = Rat { num: 0, den: 1 };
     /// One.
     pub const ONE: Rat = Rat { num: 1, den: 1 };
 
-    /// Creates `num/den`, reduced.
+    /// Creates `num/den`, reduced. Every `i128` pair reduces; only a
+    /// result whose reduced numerator or denominator does not fit
+    /// `i128` is refused, e.g. `(i128::MIN, -1)` (that is +2^127) or
+    /// `(1, i128::MIN)` (a denominator of 2^127).
     ///
     /// # Panics
     ///
-    /// Panics if `den == 0`.
+    /// Panics if `den == 0`, or with a `Rat construction overflowed
+    /// i128` message on an unrepresentable result — in release builds
+    /// too.
     #[must_use]
     pub fn new(num: i128, den: i128) -> Rat {
         assert!(den != 0, "rational with zero denominator");
-        let g = gcd(num, den).max(1);
-        let sign = if den < 0 { -1 } else { 1 };
-        Rat {
-            num: sign * (num / g),
-            den: (den / g).abs(),
+        let g = gcd(num, den);
+        let (n, d) = (num.unsigned_abs() / g, den.unsigned_abs() / g);
+        let reduced = if (num < 0) == (den < 0) {
+            i128::try_from(n).ok()
+        } else {
+            0i128.checked_sub_unsigned(n)
+        };
+        match (reduced, i128::try_from(d)) {
+            (Some(num), Ok(den)) => Rat { num, den },
+            _ => panic!("Rat construction overflowed i128: {num}/{den}"),
         }
     }
 
@@ -60,18 +73,6 @@ impl Rat {
     #[must_use]
     pub fn int(n: i128) -> Rat {
         Rat { num: n, den: 1 }
-    }
-
-    /// Numerator (after reduction; sign lives here).
-    #[must_use]
-    pub fn numer(self) -> i128 {
-        self.num
-    }
-
-    /// Denominator (always positive).
-    #[must_use]
-    pub fn denom(self) -> i128 {
-        self.den
     }
 
     /// True if the value is an integer.
@@ -180,13 +181,13 @@ impl Rat {
     /// against that gcd so the final products stay as small as
     /// possible.
     fn add_general(self, rhs: Rat) -> Result<Rat, &'static str> {
-        let g = gcd(self.den, rhs.den).max(1);
+        let g = gcd_den(self.den, rhs.den);
         let num = self
             .num
             .checked_mul(rhs.den / g)
             .and_then(|l| l.checked_add(rhs.num.checked_mul(self.den / g)?))
             .ok_or("numerator")?;
-        let g2 = gcd(num, g).max(1);
+        let g2 = gcd_den(num, g);
         let den = (self.den / g)
             .checked_mul(rhs.den / g2)
             .ok_or("denominator")?;
@@ -208,8 +209,8 @@ impl Rat {
 
     /// The general multiplication core: cross-reduce before multiplying.
     fn mul_general(self, rhs: Rat) -> Result<Rat, &'static str> {
-        let g1 = gcd(self.num, rhs.den).max(1);
-        let g2 = gcd(rhs.num, self.den).max(1);
+        let g1 = gcd_den(self.num, rhs.den);
+        let g2 = gcd_den(rhs.num, self.den);
         let num = (self.num / g1)
             .checked_mul(rhs.num / g2)
             .ok_or("numerator")?;
@@ -224,7 +225,7 @@ impl Rat {
     /// products cannot overflow unless the operands themselves are near
     /// the i128 edge.
     fn cmp_general(&self, other: &Rat) -> Ordering {
-        let g = gcd(self.den, other.den).max(1);
+        let g = gcd_den(self.den, other.den);
         let lhs = Rat::mul_i128(self.num, other.den / g, "comparison (lhs)");
         let rhs = Rat::mul_i128(other.num, self.den / g, "comparison (rhs)");
         lhs.cmp(&rhs)
@@ -481,6 +482,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Rat construction overflowed i128")]
+    fn minimum_over_minus_one_is_refused() {
+        let _ = Rat::new(i128::MIN, -1); // +2^127
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat construction overflowed i128")]
+    fn minimum_denominator_is_refused() {
+        let _ = Rat::new(1, i128::MIN); // a denominator of 2^127
+    }
+
+    #[test]
+    fn minimum_operands_reduce() {
+        assert_eq!(Rat::new(i128::MIN, 2), Rat::int(-(1 << 126)));
+        assert_eq!(Rat::new(i128::MIN, i128::MIN), Rat::ONE);
+        assert_eq!(Rat::new(i128::MIN, 1), Rat::int(i128::MIN));
+        assert_eq!(Rat::new(0, i128::MIN), Rat::ZERO);
+        assert_eq!(Rat::new(2, i128::MIN), Rat::new(-1, 1 << 126));
+    }
+
+    #[test]
     fn checked_sub_handles_unnegatable_minimum() {
         // -i128::MIN is unrepresentable: the checked path must return
         // None (not panic in the internal negation).
@@ -502,8 +524,6 @@ mod tests {
     /// One differential operand: `kind` 0 is a random `i64` integer, 1
     /// and 2 integers within `k` of `±i128::MAX`, 3 a fraction with a
     /// denominator in `2..=1001` (the general core on either side).
-    /// Never `i128::MIN`, whose negation the general core's `gcd` cannot
-    /// form in a debug build.
     fn operand(kind: u8, a: i64, k: u64) -> Rat {
         match kind {
             0 => Rat::int(i128::from(a)),
@@ -525,13 +545,6 @@ mod tests {
             (kb, b, jb) in (0u8..=3, i64::MIN..=i64::MAX, 0u64..=1 << 20),
         ) {
             let (x, y) = (operand(ka, a, ja), operand(kb, b, jb));
-            // Leave out results of exactly i128::MIN (see `operand`).
-            let int = x.is_integer() && y.is_integer();
-            proptest::prop_assume!(
-                !int || (x.num.checked_add(y.num) != Some(i128::MIN)
-                    && x.num.checked_sub(y.num) != Some(i128::MIN)
-                    && x.num.checked_mul(y.num) != Some(i128::MIN))
-            );
 
             let sum = x.add_general(y);
             proptest::prop_assert_eq!(x.add_exact(y), sum);

@@ -1,9 +1,18 @@
-//! Sparse revised simplex over exact rationals, with warm starts.
+//! The one LP path of `wcet-ilp`, and its exact tier: a sparse revised
+//! simplex over exact rationals.
 //!
-//! The IPET hot path re-solves near-identical models dozens of times
-//! (interference sweeps change only the objective; branch-and-bound
-//! children add a single bound row), so this solver is built around
-//! **basis reuse**:
+//! Every LP this crate solves — a bare [`solve_lp`], a branch-and-bound
+//! root, or a child (the model plus its branch trail as constraints) —
+//! takes one path:
+//!
+//! 1. the speculative f64 tier (the private `fast` module) proposes a
+//!    terminal basis, skipping phase 1 when the caller hands it a cached
+//!    feasible basis of the same constraint system;
+//! 2. the exact referee (the private `certify` module) certifies it;
+//! 3. when certification fails, the exact simplex below solves the
+//!    model from a cold start.
+//!
+//! The exact simplex:
 //!
 //! * Constraint columns are stored sparsely (`Vec<(row, Rat)>`); the
 //!   working state is the basis, an explicit `B⁻¹` maintained by
@@ -14,16 +23,9 @@
 //!   improvement. Termination: an infinite pivot sequence would have an
 //!   infinite all-degenerate tail, in which the fallback engages
 //!   permanently, and Bland's rule admits no cycle — contradiction.
-//! * A solve can be **warm-started** from a [`WarmBasis`]: the basis is
-//!   refactorized (sparse Gaussian elimination rebuilding `B⁻¹`) and, if
-//!   it is still primal feasible, phase 1 is skipped entirely. Because
-//!   the cached basis is the *phase-1* basis (objective-independent),
-//!   a warm-started solve takes the exact same phase-2 pivot path as a
-//!   cold solve of the same model — results are bit-identical by
-//!   construction, not just equal in objective.
-//! * [`crate::branch_bound`] appends bound rows to a solved instance and
-//!   re-optimizes with **dual simplex** from the parent's optimal basis
-//!   (which stays dual feasible under a bordered basis extension).
+//! * It always starts cold and never hands out its phase-1 basis, so
+//!   every cached basis has f64-phase-1 provenance and a warm solve
+//!   replays the cold solve's trajectory (see `solve_lp_proven`).
 //!
 //! Exactness is untouched: every pivot runs over [`Rat`]. The
 //! pre-refactor dense solver survives in [`crate::dense`] as the
@@ -42,63 +44,54 @@ const BLAND_STREAK: u32 = 12;
 /// `status` distinguishes optimal / infeasible / unbounded.
 #[must_use]
 pub fn solve_lp(model: &LpModel) -> Solution {
-    solve_lp_warm(model, None).solution
+    solve_lp_proven(model, None, None).solution
 }
 
 /// [`solve_lp`] restricted to the exact tier: no f64 speculation, every
 /// pivot over [`Rat`]. This is the differential-test oracle for the
-/// certified fast path (and what [`solve_lp_warm`] falls back to).
+/// certified fast path, and what that path falls back to.
 #[must_use]
 pub fn solve_lp_exact(model: &LpModel) -> Solution {
-    solve_lp_exact_warm(model, None).solution
+    solve_exact(model).solution
 }
 
 /// A reusable simplex basis: the basic column of every constraint row,
 /// plus the dimensions it was taken from (reuse is refused on mismatch).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmBasis {
+pub(crate) struct WarmBasis {
     pub(crate) cols: Vec<usize>,
     pub(crate) num_rows: usize,
     pub(crate) num_cols: usize,
 }
 
 /// The full outcome of an LP solve: the solution plus the bases a caller
-/// can reuse to warm-start related solves.
+/// can reuse on later solves of the same constraint system.
 #[derive(Debug, Clone)]
-pub struct LpSolve {
+pub(crate) struct LpSolve {
     /// The solution (status, objective, values, stats).
-    pub solution: Solution,
-    /// The feasible basis captured right after phase 1 — objective
-    /// independent, so reusing it on the *same* constraint system with a
-    /// *different* objective reproduces a cold solve minus phase 1.
-    /// `None` when the model is infeasible.
-    pub feasible_basis: Option<WarmBasis>,
-    /// The optimal basis (for dual-simplex re-solves after adding
-    /// rows). `None` unless the status is optimal.
-    pub optimal_basis: Option<WarmBasis>,
+    pub(crate) solution: Solution,
+    /// The f64 tier's feasible basis, captured right after phase 1 —
+    /// objective independent, so reusing it on the *same* constraint
+    /// system with a *different* objective reproduces a cold solve
+    /// minus phase 1. `None` when the solve fell back to the exact tier.
+    pub(crate) feasible_basis: Option<WarmBasis>,
+    /// The optimal basis, nonsingular by construction. `None` unless
+    /// the status is optimal.
+    pub(crate) optimal_basis: Option<WarmBasis>,
 }
 
-/// Solves `model`, optionally warm-starting from a basis of an identical
-/// constraint system (typically [`LpSolve::feasible_basis`] of an earlier
-/// solve). An incompatible or stale basis silently degrades to a cold
-/// solve — warm starting is an optimization, never a correctness input.
+/// The one LP path: the f64 tier proposes a terminal basis, the exact
+/// referee certifies it, and a refuted or numerically abandoned attempt
+/// reruns on the exact tier from a cold start. Either way the returned
+/// optimum is exact.
 ///
-/// This is the **two-tier** entry point: a speculative f64 revised
-/// simplex (the private `fast` module) runs first and its terminal
-/// basis is certified by one exact pass (the private `certify` module);
-/// on certification failure or numerical trouble the solve falls back
-/// to [`solve_lp_exact_warm`] from a cold start. Either way the
-/// returned optimum is exact.
-#[must_use]
-pub fn solve_lp_warm(model: &LpModel, warm: Option<&WarmBasis>) -> LpSolve {
-    solve_lp_proven(model, warm, None)
-}
-
-/// [`solve_lp_warm`] with the referee's memory of the constraint system:
-/// `proven` is a basis an earlier solve of the same system already
-/// showed nonsingular (any basis a solve returned as optimal is one),
-/// so a terminal basis equal to it is checked instead of factorized —
-/// see [`crate::certify`]. Same result as without it, bit for bit.
+/// `warm` is a phase-1 feasible basis of an identical constraint system
+/// (typically [`LpSolve::feasible_basis`] of an earlier solve); an
+/// incompatible or stale one silently degrades to a cold f64 solve.
+/// `proven` is a basis an earlier solve of the same system returned as
+/// optimal, so a terminal basis equal to it is checked instead of
+/// factorized — see the private `certify` module. Neither changes the
+/// result, bit for bit.
 pub(crate) fn solve_lp_proven(
     model: &LpModel,
     warm: Option<&WarmBasis>,
@@ -108,57 +101,32 @@ pub(crate) fn solve_lp_proven(
         Ok(certified) => return certified,
         Err(attempt_stats) => attempt_stats,
     };
-    // Fallback: the exact solver, deliberately *cold*. A cached basis may
-    // have been produced by the f64 phase 1, whose terminal basis can
-    // differ from the exact phase 1's — warm-starting the exact path from
-    // it could reach a different (equally optimal) vertex than a cold
-    // exact solve, breaking the warm == cold bit-identity guarantee.
-    let mut fell_back = solve_lp_exact_warm(model, None);
+    let mut fell_back = solve_exact(model);
     fell_back.solution.stats.absorb(&attempt);
-    // Same argument, other direction: never hand the exact tier's
-    // phase-1 basis to the warm-start caches. A later warm f64 solve
-    // adopting a basis of exact provenance would pivot from a start a
-    // cold f64 solve never produces — the certified vertex could then
-    // differ between warm and cold among alternate optima. Withholding
-    // the basis keeps every cached basis f64-phase-1-deterministic, so
-    // fallback-prone systems simply stay cold (correct, just slower).
-    fell_back.feasible_basis = None;
     fell_back
 }
 
-/// The exact sparse revised simplex — the pre-fast-path solver, kept as
-/// the referee's fallback and as the oracle for differential tests.
-/// Semantics are identical to [`solve_lp_warm`] minus the f64 tier.
-#[must_use]
-pub fn solve_lp_exact_warm(model: &LpModel, warm: Option<&WarmBasis>) -> LpSolve {
+/// The exact tier, always cold: a cached basis of f64 provenance could
+/// steer it to a different (equally optimal) vertex than a cold exact
+/// solve, breaking warm == cold bit-identity. For the same reason it
+/// reports no feasible basis: a later warm f64 solve adopting a basis of
+/// exact provenance would pivot from a start a cold f64 solve never
+/// produces. Fallback-prone systems simply stay cold (correct, just
+/// slower).
+fn solve_exact(model: &LpModel) -> LpSolve {
     let mut t = Revised::build(model);
-    let mut warm_ok = false;
-    if let Some(wb) = warm {
-        if t.try_warm_start(wb) {
-            warm_ok = true;
-        }
-    }
-    if !warm_ok && !t.phase1() {
-        return LpSolve {
-            solution: t.finish(SolveStatus::Infeasible, model),
-            feasible_basis: None,
-            optimal_basis: None,
-        };
-    }
-    let feasible_basis = Some(t.warm_basis());
-    let c2 = t.phase2_costs(model);
-    if !t.primal(&c2, false) {
-        return LpSolve {
-            solution: t.finish(SolveStatus::Unbounded, model),
-            feasible_basis,
-            optimal_basis: None,
-        };
-    }
-    let optimal_basis = Some(t.warm_basis());
+    t.start_cold();
+    let status = if !t.phase1() {
+        SolveStatus::Infeasible
+    } else if !t.primal(&t.phase2_costs(model), false) {
+        SolveStatus::Unbounded
+    } else {
+        SolveStatus::Optimal
+    };
     LpSolve {
-        solution: t.finish(SolveStatus::Optimal, model),
-        feasible_basis,
-        optimal_basis,
+        optimal_basis: (status == SolveStatus::Optimal).then(|| t.warm_basis()),
+        solution: t.finish(status, model),
+        feasible_basis: None,
     }
 }
 
@@ -170,9 +138,7 @@ pub fn solve_lp_exact_warm(model: &LpModel, warm: Option<&WarmBasis>) -> LpSolve
 pub(crate) struct Revised {
     /// Sparse columns: `cols[j]` lists `(row, coefficient)`.
     pub(crate) cols: Vec<Vec<(usize, Rat)>>,
-    /// Right-hand sides. Model rows are normalized to `rhs >= 0`; rows
-    /// appended by [`Revised::append_bound_row`] may be negative (they
-    /// are repaired by dual simplex).
+    /// Right-hand sides, normalized to `rhs >= 0`.
     pub(crate) rhs: Vec<Rat>,
     /// Per-column artificial marker.
     pub(crate) artificial: Vec<bool>,
@@ -189,14 +155,16 @@ pub(crate) struct Revised {
     /// Basic solution `B⁻¹ b`.
     xb: Vec<Rat>,
     /// Effort counters for this instance.
-    pub(crate) stats: SolveStats,
+    stats: SolveStats,
 }
 
 impl Revised {
-    /// Builds the sparse standard form of `model` in the cold-start
-    /// state. Row/column layout matches the dense oracle: rows keep
-    /// model order with `rhs` normalized non-negative, columns are
-    /// `[structural | per-row slack/surplus/artificial]`.
+    /// Builds the sparse standard form of `model`. Row/column layout
+    /// matches the dense oracle: rows keep model order with `rhs`
+    /// normalized non-negative, columns are `[structural | per-row
+    /// slack/surplus/artificial]`. The basis state stays empty until
+    /// [`Revised::start_cold`]: the f64 tier and the referee read only
+    /// the standard form.
     pub(crate) fn build(model: &LpModel) -> Revised {
         let n = model.num_vars();
         let m = model.num_constraints();
@@ -241,7 +209,7 @@ impl Revised {
             }
         }
 
-        let mut t = Revised {
+        Revised {
             cols,
             rhs,
             artificial,
@@ -252,9 +220,7 @@ impl Revised {
             binv: Vec::new(),
             xb: Vec::new(),
             stats: SolveStats::default(),
-        };
-        t.reset_cold();
-        t
+        }
     }
 
     fn num_rows(&self) -> usize {
@@ -269,8 +235,8 @@ impl Revised {
         self.artificial.iter().any(|&a| a)
     }
 
-    /// Restores the cold-start state: unit basis, `B⁻¹ = I`, `x_B = b`.
-    fn reset_cold(&mut self) {
+    /// Enters the cold-start state: unit basis, `B⁻¹ = I`, `x_B = b`.
+    fn start_cold(&mut self) {
         let m = self.num_rows();
         self.basis = self.init_basis.clone();
         self.in_basis = vec![false; self.num_cols()];
@@ -281,123 +247,13 @@ impl Revised {
         self.xb = self.rhs.clone();
     }
 
-    /// Appends the bound row `x_var <= bound` (or `x_var >= bound`,
-    /// encoded as `-x_var <= -bound` so the slack stays basic and dual
-    /// simplex repairs the negative right-hand side). Returns the new
-    /// slack column. Invalidates the basis state — callers must
-    /// re-initialize via [`Revised::try_warm_start`].
-    pub(crate) fn append_bound_row(&mut self, var: usize, upper: bool, bound: Rat) -> usize {
-        let row = self.num_rows();
-        let (coeff, rhs) = if upper {
-            (Rat::ONE, bound)
-        } else {
-            (-Rat::ONE, -bound)
-        };
-        self.cols[var].push((row, coeff));
-        self.rhs.push(rhs);
-        self.cols.push(vec![(row, Rat::ONE)]); // slack
-        self.artificial.push(false);
-        self.init_basis.push(self.cols.len() - 1);
-        self.cols.len() - 1
-    }
-
     /// The current basis as a reusable [`WarmBasis`].
-    pub(crate) fn warm_basis(&self) -> WarmBasis {
+    fn warm_basis(&self) -> WarmBasis {
         WarmBasis {
             cols: self.basis.clone(),
             num_rows: self.num_rows(),
             num_cols: self.num_cols(),
         }
-    }
-
-    /// Attempts to adopt `wb`: dimension check, refactorization, and a
-    /// primal-feasibility check (`x_B >= 0`, required to skip phase 1).
-    /// On failure the instance is back in the cold-start state.
-    pub(crate) fn try_warm_start(&mut self, wb: &WarmBasis) -> bool {
-        if wb.num_rows != self.num_rows() || wb.num_cols != self.num_cols() {
-            return false;
-        }
-        if !self.factorize(&wb.cols) || self.xb.iter().any(|x| *x < Rat::ZERO) {
-            self.reset_cold();
-            return false;
-        }
-        if self.basic_artificial_nonzero() {
-            // A basic artificial above zero means the basis does NOT
-            // represent a feasible point of *this* model (a stale basis
-            // from a different system of the same shape could smuggle an
-            // infeasible model past phase 1) — run phase 1 instead.
-            self.reset_cold();
-            return false;
-        }
-        self.stats.warm_starts += 1;
-        if self.has_artificials() {
-            self.stats.phase1_skips += 1;
-        }
-        true
-    }
-
-    /// Adopts a basis that is dual feasible but possibly primal
-    /// infeasible (branch-and-bound children). No `x_B` sign check, but
-    /// basic artificials must still sit exactly at zero — anything else
-    /// is a stale basis, and dual simplex would never repair it (it only
-    /// fixes *negative* entries, and artificials never leave).
-    pub(crate) fn try_warm_start_dual(&mut self, basis_cols: &[usize]) -> bool {
-        if basis_cols.len() != self.num_rows()
-            || !self.factorize(basis_cols)
-            || self.basic_artificial_nonzero()
-        {
-            self.reset_cold();
-            return false;
-        }
-        self.stats.warm_starts += 1;
-        if self.has_artificials() {
-            self.stats.phase1_skips += 1;
-        }
-        true
-    }
-
-    /// True if any basic artificial variable sits away from zero — the
-    /// state no valid warm basis for this model can produce.
-    fn basic_artificial_nonzero(&self) -> bool {
-        self.basis
-            .iter()
-            .zip(&self.xb)
-            .any(|(&b, x)| self.artificial[b] && !x.is_zero())
-    }
-
-    /// Rebuilds `B⁻¹`, the row↔column assignment and `x_B` from a basis
-    /// column set, by Gaussian elimination in the given column order with
-    /// free row pivoting (always succeeds iff the columns are
-    /// independent). `false` leaves the state dirty — callers reset.
-    fn factorize(&mut self, basis_cols: &[usize]) -> bool {
-        let m = self.num_rows();
-        debug_assert_eq!(basis_cols.len(), m);
-        if basis_cols.iter().any(|&c| c >= self.num_cols()) {
-            return false;
-        }
-        self.stats.refactorizations += 1;
-        self.binv = identity(m);
-        self.xb.clear(); // recomputed below; empty disables eta updates on it
-        let mut assigned = vec![false; m];
-        let mut basis = vec![usize::MAX; m];
-        for &col in basis_cols {
-            let w = self.direction(col);
-            // Deterministic free pivot: smallest unassigned row with a
-            // nonzero transformed entry.
-            let Some(row) = (0..m).find(|&i| !assigned[i] && !w[i].is_zero()) else {
-                return false; // dependent column set
-            };
-            assigned[row] = true;
-            basis[row] = col;
-            self.eta_update(row, &w);
-        }
-        self.basis = basis;
-        self.in_basis = vec![false; self.num_cols()];
-        for &b in &self.basis {
-            self.in_basis[b] = true;
-        }
-        self.xb = mat_vec(&self.binv, &self.rhs);
-        true
     }
 
     /// `B⁻¹ · a_col` via the sparse column.
@@ -467,9 +323,7 @@ impl Revised {
                 self.binv[row][k] = v * inv;
             }
         }
-        if !self.xb.is_empty() {
-            self.xb[row] = self.xb[row] * inv;
-        }
+        self.xb[row] = self.xb[row] * inv;
         for i in 0..m {
             if i == row || w[i].is_zero() {
                 continue;
@@ -488,10 +342,8 @@ impl Revised {
                     *t -= f * p;
                 }
             }
-            if !self.xb.is_empty() {
-                let adj = f * self.xb[row];
-                self.xb[i] -= adj;
-            }
+            let adj = f * self.xb[row];
+            self.xb[i] -= adj;
         }
     }
 
@@ -575,84 +427,6 @@ impl Revised {
         }
     }
 
-    /// Dual simplex for cost vector `c`, from a dual-feasible basis
-    /// (all reduced costs `<= 0`). Repairs negative `x_B` entries;
-    /// terminates optimal (`true`) or primal infeasible (`false`).
-    pub(crate) fn dual(&mut self, c: &[Rat]) -> bool {
-        let mut bland = false;
-        let mut streak = 0u32;
-        loop {
-            // Leaving row: most negative x_B (ties to the smallest basic
-            // index); under the fallback, smallest basic index outright.
-            let mut leave: Option<usize> = None;
-            for (i, x) in self.xb.iter().enumerate() {
-                if *x >= Rat::ZERO {
-                    continue;
-                }
-                let better = match leave {
-                    None => true,
-                    Some(l) => {
-                        if bland {
-                            self.basis[i] < self.basis[l]
-                        } else {
-                            *x < self.xb[l] || (*x == self.xb[l] && self.basis[i] < self.basis[l])
-                        }
-                    }
-                };
-                if better {
-                    leave = Some(i);
-                }
-            }
-            let Some(row) = leave else {
-                return true; // primal feasible, hence optimal
-            };
-            let y = self.dual_prices(c);
-            // Entering: among alpha_j < 0, minimize r_j / alpha_j (>= 0),
-            // ties to the smallest index (Bland's dual rule).
-            let mut enter: Option<(usize, Rat)> = None;
-            for j in 0..self.num_cols() {
-                if self.in_basis[j] || self.artificial[j] {
-                    continue;
-                }
-                let mut alpha = Rat::ZERO;
-                for &(r, v) in &self.cols[j] {
-                    let b = self.binv[row][r];
-                    if !b.is_zero() {
-                        alpha += b * v;
-                    }
-                }
-                if alpha < Rat::ZERO {
-                    let r = self.reduced_cost(c, &y, j);
-                    debug_assert!(r <= Rat::ZERO, "dual simplex lost dual feasibility");
-                    let ratio = r / alpha;
-                    if enter.as_ref().is_none_or(|(_, br)| ratio < *br) {
-                        enter = Some((j, ratio));
-                    }
-                }
-            }
-            let Some((col, ratio)) = enter else {
-                return false; // no way to repair this row: infeasible
-            };
-            // As in primal(): count the pivot against the rule that
-            // selected it; the streak update governs the next iteration.
-            if bland {
-                self.stats.bland_pivots += 1;
-            }
-            if ratio.is_zero() {
-                streak += 1;
-                if streak >= BLAND_STREAK {
-                    bland = true;
-                }
-            } else {
-                streak = 0;
-                bland = false;
-            }
-            let w = self.direction(col);
-            self.stats.dual_pivots += 1;
-            self.pivot(row, col, &w);
-        }
-    }
-
     /// Phase 1: drive the artificial variables to zero. Returns `false`
     /// if the model is infeasible. On success every remaining basic
     /// artificial sits in a redundant row (its transformed row is zero on
@@ -719,7 +493,7 @@ impl Revised {
     }
 
     /// Packages the final state as a [`Solution`].
-    pub(crate) fn finish(&self, status: SolveStatus, model: &LpModel) -> Solution {
+    fn finish(&self, status: SolveStatus, model: &LpModel) -> Solution {
         if status != SolveStatus::Optimal {
             let mut s = Solution::non_optimal(status);
             s.stats = self.stats;
@@ -749,20 +523,6 @@ fn identity(m: usize) -> Vec<Vec<Rat>> {
     id
 }
 
-fn mat_vec(a: &[Vec<Rat>], v: &[Rat]) -> Vec<Rat> {
-    a.iter()
-        .map(|row| {
-            let mut acc = Rat::ZERO;
-            for (x, &y) in row.iter().zip(v) {
-                if !x.is_zero() && !y.is_zero() {
-                    acc += *x * y;
-                }
-            }
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,8 +541,8 @@ mod tests {
         // max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6,  x >= 0, y >= 0.
         // Optimum at (4, 0): objective 12.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Le, 4);
         m.add_constraint(expr(&[(x, 1), (y, 3)]), CmpOp::Le, 6);
         m.set_objective(expr(&[(x, 3), (y, 2)]));
@@ -798,8 +558,8 @@ mod tests {
     fn fractional_optimum() {
         // max x + y  s.t.  2x + 2y <= 3 → obj 3/2 on the x+y=3/2 facet.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(x, 2), (y, 2)]), CmpOp::Le, 3);
         m.set_objective(expr(&[(x, 1), (y, 1)]));
         let s = solve_lp(&m);
@@ -811,7 +571,7 @@ mod tests {
     fn detects_infeasible() {
         // x <= 1 and x >= 2.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
+        let x = m.add_var();
         m.add_constraint(expr(&[(x, 1)]), CmpOp::Le, 1);
         m.add_constraint(expr(&[(x, 1)]), CmpOp::Ge, 2);
         m.set_objective(expr(&[(x, 1)]));
@@ -821,8 +581,8 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(y, 1)]), CmpOp::Le, 5);
         m.set_objective(expr(&[(x, 1)]));
         assert_eq!(solve_lp(&m).status, SolveStatus::Unbounded);
@@ -832,8 +592,8 @@ mod tests {
     fn equality_constraints() {
         // max 2x + y  s.t.  x + y == 3, x <= 1  →  x=1, y=2.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Eq, 3);
         m.add_constraint(expr(&[(x, 1)]), CmpOp::Le, 1);
         m.set_objective(expr(&[(x, 2), (y, 1)]));
@@ -848,7 +608,7 @@ mod tests {
     fn negative_rhs_normalized() {
         // -x <= -2  ⇔  x >= 2; max -x  → x = 2, obj -2.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
+        let x = m.add_var();
         m.add_constraint(expr(&[(x, -1)]), CmpOp::Le, -2);
         m.add_constraint(expr(&[(x, 1)]), CmpOp::Le, 10);
         m.set_objective(expr(&[(x, -1)]));
@@ -861,8 +621,8 @@ mod tests {
     fn degenerate_does_not_cycle() {
         // Classic degeneracy: redundant constraints through the optimum.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Le, 2);
         m.add_constraint(expr(&[(x, 1)]), CmpOp::Le, 2);
         m.add_constraint(expr(&[(y, 1)]), CmpOp::Le, 2);
@@ -878,8 +638,8 @@ mod tests {
         // x + y == 2 twice: the duplicate row keeps a zero-level
         // artificial basic; the solve must still reach the optimum.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
+        let x = m.add_var();
+        let y = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Eq, 2);
         m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Eq, 2);
         m.set_objective(expr(&[(x, 1)]));
@@ -892,9 +652,9 @@ mod tests {
     #[test]
     fn solution_point_is_feasible() {
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        let z = m.add_var("z");
+        let x = m.add_var();
+        let y = m.add_var();
+        let z = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 2), (z, 1)]), CmpOp::Le, 10);
         m.add_constraint(expr(&[(x, 1), (y, -1)]), CmpOp::Ge, 1);
         m.add_constraint(expr(&[(z, 1)]), CmpOp::Eq, 2);
@@ -909,21 +669,21 @@ mod tests {
         // An equality-heavy model (phase 1 does real work), re-solved
         // with a different objective from the cached feasible basis.
         let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        let z = m.add_var("z");
+        let x = m.add_var();
+        let y = m.add_var();
+        let z = m.add_var();
         m.add_constraint(expr(&[(x, 1), (y, 1), (z, 1)]), CmpOp::Eq, 6);
         m.add_constraint(expr(&[(x, 1), (y, -1)]), CmpOp::Ge, 1);
         m.add_constraint(expr(&[(z, 1)]), CmpOp::Le, 3);
         m.set_objective(expr(&[(x, 1), (y, 2), (z, 3)]));
-        let first = solve_lp_warm(&m, None);
+        let first = solve_lp_proven(&m, None, None);
         assert_eq!(first.solution.status, SolveStatus::Optimal);
         let basis = first.feasible_basis.expect("feasible");
 
         // New objective, same constraints.
         m.set_objective(expr(&[(x, 5), (y, 1), (z, 1)]));
-        let cold = solve_lp_warm(&m, None);
-        let warm = solve_lp_warm(&m, Some(&basis));
+        let cold = solve_lp_proven(&m, None, None);
+        let warm = solve_lp_proven(&m, Some(&basis), None);
         assert_eq!(warm.solution, cold.solution); // bit-identical result
         assert_eq!(warm.solution.stats.warm_starts, 1);
         assert_eq!(warm.solution.stats.phase1_skips, 1);
@@ -934,7 +694,7 @@ mod tests {
     #[test]
     fn stale_warm_basis_degrades_to_cold() {
         let mut m = LpModel::new();
-        let x = m.add_var("x");
+        let x = m.add_var();
         m.add_constraint(expr(&[(x, 1)]), CmpOp::Le, 4);
         m.set_objective(expr(&[(x, 1)]));
         let bogus = WarmBasis {
@@ -942,7 +702,7 @@ mod tests {
             num_rows: 2,
             num_cols: 11,
         };
-        let s = solve_lp_warm(&m, Some(&bogus));
+        let s = solve_lp_proven(&m, Some(&bogus), None);
         assert_eq!(s.solution.status, SolveStatus::Optimal);
         assert_eq!(s.solution.objective, Rat::int(4));
         assert_eq!(s.solution.stats.warm_starts, 0);
@@ -956,48 +716,23 @@ mod tests {
         // that artificial at level 1; the warm start must be refused and
         // the cold solve must report infeasibility.
         let mut a = LpModel::new();
-        let x = a.add_var("x");
-        let y = a.add_var("y");
+        let x = a.add_var();
+        let y = a.add_var();
         a.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Eq, 2);
         a.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Eq, 2);
         a.set_objective(expr(&[(x, 1)]));
-        let basis = solve_lp_warm(&a, None).feasible_basis.expect("feasible");
+        let basis = solve_lp_proven(&a, None, None)
+            .feasible_basis
+            .expect("feasible");
 
         let mut b = LpModel::new();
-        let x = b.add_var("x");
-        let y = b.add_var("y");
+        let x = b.add_var();
+        let y = b.add_var();
         b.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Eq, 2);
         b.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Eq, 3);
         b.set_objective(expr(&[(x, 1)]));
-        let s = solve_lp_warm(&b, Some(&basis));
+        let s = solve_lp_proven(&b, Some(&basis), None);
         assert_eq!(s.solution.status, SolveStatus::Infeasible);
         assert_eq!(s.solution.stats.warm_starts, 0);
-    }
-
-    #[test]
-    fn dual_simplex_reoptimizes_after_bound_row() {
-        // max x + y  s.t.  x + y <= 4; then append x <= 1 and repair.
-        let mut m = LpModel::new();
-        let x = m.add_var("x");
-        let y = m.add_var("y");
-        m.add_constraint(expr(&[(x, 1), (y, 1)]), CmpOp::Le, 4);
-        m.set_objective(expr(&[(x, 2), (y, 1)]));
-        let first = solve_lp_warm(&m, None);
-        assert_eq!(first.solution.objective, Rat::int(8)); // x = 4
-        let optimal = first.optimal_basis.expect("optimal");
-
-        let mut t = Revised::build(&m);
-        let slack = t.append_bound_row(x.index(), true, Rat::int(1));
-        let mut basis = optimal.cols;
-        basis.push(slack);
-        assert!(t.try_warm_start_dual(&basis));
-        let c = t.phase2_costs(&m);
-        assert!(t.dual(&c));
-        let s = t.finish(SolveStatus::Optimal, &m);
-        // x clamped to 1, y picks up the slack: 2·1 + 3 = 5.
-        assert_eq!(s.objective, Rat::int(5));
-        assert_eq!(s.value(x), Rat::int(1));
-        assert_eq!(s.value(y), Rat::int(3));
-        assert!(s.stats.dual_pivots > 0);
     }
 }

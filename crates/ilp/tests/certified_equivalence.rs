@@ -26,7 +26,7 @@ fn arb_model() -> impl Strategy<Value = LpModel> {
         let obj = proptest::collection::vec(-3i64..=5, n);
         (Just(n), Just(m), coeffs, ops, rhs, obj).prop_map(|(n, m, coeffs, ops, rhs, obj)| {
             let mut model = LpModel::new();
-            let vars: Vec<VarId> = (0..n).map(|i| model.add_int_var(format!("x{i}"))).collect();
+            let vars: Vec<VarId> = (0..n).map(|_| model.add_int_var()).collect();
             for &v in &vars {
                 model.add_constraint(LinExpr::new().with_term(v, 1), CmpOp::Le, BOX_BOUND);
             }
@@ -158,7 +158,7 @@ fn brute_force(model: &LpModel) -> Option<Rat> {
 #[test]
 fn pathological_conditioning_forces_the_fallback() {
     let mut m = LpModel::new();
-    let x = m.add_var("x");
+    let x = m.add_var();
     m.add_constraint(LinExpr::new().with_term(x, 1), CmpOp::Le, 1);
     m.set_objective(LinExpr::new().with_term(x, Rat::new(1, 1 << 60)));
 
@@ -186,8 +186,8 @@ fn pathological_conditioning_forces_the_fallback() {
 #[test]
 fn well_conditioned_model_certifies_without_fallback() {
     let mut m = LpModel::new();
-    let x = m.add_var("x");
-    let y = m.add_var("y");
+    let x = m.add_var();
+    let y = m.add_var();
     m.add_constraint(LinExpr::new().with_term(x, 1).with_term(y, 1), CmpOp::Le, 4);
     m.add_constraint(LinExpr::new().with_term(x, 1).with_term(y, 3), CmpOp::Le, 6);
     m.set_objective(LinExpr::new().with_term(x, 3).with_term(y, 2));

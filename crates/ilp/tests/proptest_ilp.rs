@@ -16,7 +16,7 @@ fn arb_model() -> impl Strategy<Value = LpModel> {
         let obj = proptest::collection::vec(-3i64..=5, n);
         (Just(n), Just(m), coeffs, rhs, obj).prop_map(|(n, m, coeffs, rhs, obj)| {
             let mut model = LpModel::new();
-            let vars: Vec<VarId> = (0..n).map(|i| model.add_int_var(format!("x{i}"))).collect();
+            let vars: Vec<VarId> = (0..n).map(|_| model.add_int_var()).collect();
             // Box constraints keep everything bounded and enumerable.
             for &v in &vars {
                 model.add_constraint(LinExpr::new().with_term(v, 1), CmpOp::Le, BOX_BOUND);

@@ -1,12 +1,14 @@
-//! Differential test: the sparse revised simplex (and its warm-started
-//! branch & bound) must agree **exactly** — status and objective, over
-//! exact rationals — with the pre-refactor dense solver preserved in
-//! `wcet_ilp::dense` (the `dense` feature, on by default).
+//! Differential test: the two-tier LP path (and the branch & bound that
+//! solves every node on it) must agree **exactly** — status and
+//! objective, over exact rationals — with the pre-refactor dense solver
+//! preserved in `wcet_ilp::dense` (the `dense` feature, on by default).
 //!
 //! The dense ILP oracle below is a faithful reproduction of the old
-//! branch-and-bound (bounds-as-constraints, cold dense solve per node).
-//! Its *vertex* choices may differ from the new solver's among alternate
-//! optima, so only status and objective are compared — those are unique.
+//! branch-and-bound: bounds as constraints, a cold dense solve per node
+//! — the shape `branch_bound` has too, with each node solved on the
+//! sparse two-tier path instead. Its *vertex* choices may differ from
+//! the sparse solver's among alternate optima, so only status and
+//! objective are compared — those are unique.
 
 #![cfg(feature = "dense")]
 
@@ -32,7 +34,7 @@ fn arb_model() -> impl Strategy<Value = LpModel> {
         let obj = proptest::collection::vec(-3i64..=5, n);
         (Just(n), Just(m), coeffs, ops, rhs, obj).prop_map(|(n, m, coeffs, ops, rhs, obj)| {
             let mut model = LpModel::new();
-            let vars: Vec<VarId> = (0..n).map(|i| model.add_int_var(format!("x{i}"))).collect();
+            let vars: Vec<VarId> = (0..n).map(|_| model.add_int_var()).collect();
             for &v in &vars {
                 model.add_constraint(LinExpr::new().with_term(v, 1), CmpOp::Le, BOX_BOUND);
             }

@@ -77,16 +77,6 @@ impl CfgBuilder {
         self
     }
 
-    /// Number of instructions currently in `block`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` was not allocated by this builder.
-    #[must_use]
-    pub fn block_len(&self, block: BlockId) -> usize {
-        self.blocks[block.index()].0.len()
-    }
-
     /// Finalizes the CFG with the given entry block.
     ///
     /// Blocks without an explicit terminator become `Return` blocks.

@@ -4,7 +4,6 @@
 //! analysis decorates it with loop bounds, low-level analysis computes block
 //! costs over it, and IPET turns it into an integer linear program.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::isa::{Cond, Instr, Operand, Reg};
@@ -557,54 +556,6 @@ impl Cfg {
             .into_iter()
             .filter(|e| self.dominates(&idom, e.to, e.from))
             .collect()
-    }
-
-    /// Total number of instruction slots (incl. terminators) across blocks.
-    #[must_use]
-    pub fn total_fetch_slots(&self) -> usize {
-        self.blocks.iter().map(BasicBlock::fetch_slots).sum()
-    }
-
-    /// The set of registers read or written anywhere in the CFG.
-    #[must_use]
-    pub fn used_regs(&self) -> BTreeSet<Reg> {
-        let mut out = BTreeSet::new();
-        for blk in &self.blocks {
-            for ins in blk.instrs() {
-                match *ins {
-                    Instr::Alu { dst, lhs, rhs, .. } => {
-                        out.insert(dst);
-                        out.insert(lhs);
-                        if let Operand::Reg(r) = rhs {
-                            out.insert(r);
-                        }
-                    }
-                    Instr::LoadImm { dst, .. } => {
-                        out.insert(dst);
-                    }
-                    Instr::Load { dst, mem } => {
-                        out.insert(dst);
-                        if let crate::isa::MemRef::Indexed { index, .. } = mem {
-                            out.insert(index);
-                        }
-                    }
-                    Instr::Store { src, mem } => {
-                        out.insert(src);
-                        if let crate::isa::MemRef::Indexed { index, .. } = mem {
-                            out.insert(index);
-                        }
-                    }
-                    Instr::Yield | Instr::Nop => {}
-                }
-            }
-            if let Terminator::Branch { lhs, rhs, .. } = *blk.terminator() {
-                out.insert(lhs);
-                if let Operand::Reg(r) = rhs {
-                    out.insert(r);
-                }
-            }
-        }
-        out
     }
 }
 

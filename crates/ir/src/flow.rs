@@ -106,12 +106,6 @@ impl FlowFacts {
         self
     }
 
-    /// Sets only the minimum iteration count (per entry) of a loop.
-    pub fn set_min_bound(&mut self, header: BlockId, min_iters: u64) -> &mut Self {
-        self.min_bounds.insert(header, min_iters);
-        self
-    }
-
     /// The minimum back-edge traversals per entry of the loop headed by
     /// `header` (0 when unknown — always sound for a lower bound).
     #[must_use]

@@ -6,7 +6,6 @@
 //! experiments steer inter-task cache conflicts by choosing overlapping or
 //! disjoint code/data bases for co-scheduled programs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -446,15 +445,6 @@ impl Program {
             &mut seq,
         );
         out
-    }
-
-    /// All access sites of the whole program, block by block.
-    #[must_use]
-    pub fn all_accesses(&self) -> BTreeMap<BlockId, Vec<AccessSite>> {
-        self.cfg
-            .block_ids()
-            .map(|b| (b, self.accesses(b)))
-            .collect()
     }
 
     /// The worst-case execution count of `block` (product of enclosing loop

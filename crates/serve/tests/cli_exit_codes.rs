@@ -21,8 +21,11 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
-fn write_spec(dir: &std::path::Path) -> PathBuf {
-    let spec = dir.join("cli.scn");
+/// Writes [`SPEC`] to `<test>.scn`, a path of the calling test's own:
+/// the tests run in parallel, and with one shared path a test could
+/// truncate the spec while another test's `wcet` child reads it.
+fn write_spec(dir: &std::path::Path, test: &str) -> PathBuf {
+    let spec = dir.join(format!("{test}.scn"));
     std::fs::write(&spec, SPEC).expect("writes spec");
     spec
 }
@@ -41,7 +44,7 @@ fn stderr_of(out: &Output) -> String {
 #[test]
 fn clean_streaming_run_exits_zero() {
     let dir = temp_dir();
-    let spec = write_spec(&dir);
+    let spec = write_spec(&dir, "clean_streaming_run_exits_zero");
     let out = wcet(&["scenarios", "run", spec.to_str().expect("utf8")]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 }
@@ -51,7 +54,7 @@ fn clean_streaming_run_exits_zero() {
 #[test]
 fn limit_zero_produces_nothing_and_exits_zero() {
     let dir = temp_dir();
-    let spec = write_spec(&dir);
+    let spec = write_spec(&dir, "limit_zero_produces_nothing_and_exits_zero");
     let out = wcet(&[
         "scenarios",
         "validate",
@@ -77,7 +80,10 @@ fn limit_zero_produces_nothing_and_exits_zero() {
 #[test]
 fn validate_with_threads_validates_and_writes_every_cell() {
     let dir = temp_dir();
-    let spec = write_spec(&dir);
+    let spec = write_spec(
+        &dir,
+        "validate_with_threads_validates_and_writes_every_cell",
+    );
     let json = dir.join("validate-threads.json");
     let out = wcet(&[
         "scenarios",
@@ -108,7 +114,7 @@ fn bad_usage_exits_one() {
 #[test]
 fn starved_budgets_exit_two_with_a_summary() {
     let dir = temp_dir();
-    let spec = write_spec(&dir);
+    let spec = write_spec(&dir, "starved_budgets_exit_two_with_a_summary");
     let out = wcet(&[
         "scenarios",
         "run",
@@ -136,7 +142,7 @@ fn starved_budgets_exit_two_with_a_summary() {
 #[test]
 fn strict_escalates_failures_to_one() {
     let dir = temp_dir();
-    let spec = write_spec(&dir);
+    let spec = write_spec(&dir, "strict_escalates_failures_to_one");
     let out = wcet(&[
         "scenarios",
         "run",
@@ -153,7 +159,7 @@ fn strict_escalates_failures_to_one() {
 #[test]
 fn deadline_exits_three_and_resume_completes() {
     let dir = temp_dir();
-    let spec = write_spec(&dir);
+    let spec = write_spec(&dir, "deadline_exits_three_and_resume_completes");
     let memo = dir.join("deadline-memo.jsonl");
     let _ = std::fs::remove_file(&memo);
     let spec_str = spec.to_str().expect("utf8");

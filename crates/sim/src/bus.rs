@@ -88,12 +88,6 @@ impl Bus {
         });
     }
 
-    /// True if `core` has an outstanding request.
-    #[must_use]
-    pub fn has_pending(&self, core: usize) -> bool {
-        self.pending[core].is_some()
-    }
-
     /// True if any requester has an outstanding request.
     #[must_use]
     pub(crate) fn has_any_pending(&self) -> bool {

@@ -342,12 +342,6 @@ impl Machine {
         self.run_watched_inner(cycle_limit, watched, false)
     }
 
-    /// Fast-forward counters accumulated so far.
-    #[must_use]
-    pub fn skip_stats(&self) -> SkipStats {
-        self.skip
-    }
-
     /// Runs until every `watched` slot finishes (every loaded thread when
     /// `watched` is empty). Unwatched threads keep running — and keep
     /// interfering — until that point, then the run stops; their
