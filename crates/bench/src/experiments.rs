@@ -20,7 +20,7 @@ use wcet_cache::multilevel::{analyze_hierarchy, HierarchyConfig};
 use wcet_cache::partition::{policy_partition, AllocationPolicy, OwnerId, PartitionPlan};
 use wcet_cache::shared::InterferenceMap;
 use wcet_core::analyzer::AnalysisError;
-use wcet_core::engine::{AnalysisEngine, Job, SolverStats};
+use wcet_core::engine::{AnalysisEngine, SolverStats};
 use wcet_core::mode::{Footprint, Isolated, JointRefs, Solo};
 use wcet_core::report::Table;
 use wcet_core::static_ctrl::{
@@ -90,7 +90,7 @@ pub struct ExperimentRun {
 }
 
 /// Sums the solver counters of several engines.
-fn solver_totals<'a>(engines: impl IntoIterator<Item = &'a AnalysisEngine>) -> SolverStats {
+fn solver_sum<'a>(engines: impl IntoIterator<Item = &'a AnalysisEngine>) -> SolverStats {
     let mut acc = SolverStats::default();
     for e in engines {
         acc.absorb(&e.solver_stats());
@@ -99,7 +99,7 @@ fn solver_totals<'a>(engines: impl IntoIterator<Item = &'a AnalysisEngine>) -> S
 }
 
 /// Sums the fixpoint counters of several engines.
-fn fixpoint_totals<'a>(engines: impl IntoIterator<Item = &'a AnalysisEngine>) -> FixpointStats {
+fn fixpoint_sum<'a>(engines: impl IntoIterator<Item = &'a AnalysisEngine>) -> FixpointStats {
     let mut acc = FixpointStats::default();
     for e in engines {
         acc.absorb(&e.fixpoint_stats());
@@ -148,7 +148,7 @@ type Mix = (&'static str, Vec<(usize, usize, Program)>);
 pub type Runner = fn() -> ExperimentRun;
 
 /// E01 (paper §2.1): solo WCET on a predictable single core, validated
-/// against simulation. The whole suite is analysed in one engine batch.
+/// against simulation. The whole suite is analysed through one engine.
 ///
 /// # Panics
 ///
@@ -158,8 +158,6 @@ pub fn exp01() -> ExperimentRun {
     let m = machine(1);
     let engine = AnalysisEngine::new(m.clone());
     let tasks = suite(0);
-    let jobs: Vec<Job<'_>> = tasks.iter().map(|p| Job::new(p, 0, &Solo)).collect();
-    let reports = engine.analyze_batch(&jobs);
 
     let mut t = Table::new(
         "E01 — solo WCET vs simulated time, single predictable core",
@@ -173,8 +171,8 @@ pub fn exp01() -> ExperimentRun {
     );
     let mut rows = Vec::new();
     let mut skip = SkipStats::default();
-    for (p, rep) in tasks.iter().zip(reports) {
-        let rep = rep.expect("analyses");
+    for p in &tasks {
+        let rep = engine.analyze(p, 0, 0, &Solo).expect("analyses");
         let obs = observe_skip(
             &m,
             (0, 0, p.clone()),
@@ -200,8 +198,8 @@ pub fn exp01() -> ExperimentRun {
         id: "exp01_singlecore",
         title: "solo WCET, single predictable core",
         rows,
-        solver: solver_totals([&engine]),
-        fixpoint: fixpoint_totals([&engine]),
+        solver: solver_sum([&engine]),
+        fixpoint: fixpoint_sum([&engine]),
         sim_skip: skip,
     }
 }
@@ -428,8 +426,8 @@ pub fn exp03() -> ExperimentRun {
         id: "exp03_lifetime",
         title: "lifetime refinement",
         rows,
-        solver: solver_totals([&engine]),
-        fixpoint: fixpoint_totals([&engine]),
+        solver: solver_sum([&engine]),
+        fixpoint: fixpoint_sum([&engine]),
         sim_skip: SkipStats::default(),
     }
 }
@@ -507,8 +505,8 @@ pub fn exp04() -> ExperimentRun {
         id: "exp04_bypass",
         title: "single-usage L2 bypass",
         rows,
-        solver: solver_totals([&engine]),
-        fixpoint: fixpoint_totals([&engine]),
+        solver: solver_sum([&engine]),
+        fixpoint: fixpoint_sum([&engine]),
         sim_skip: SkipStats::default(),
     }
 }
@@ -657,8 +655,8 @@ pub fn exp10() -> ExperimentRun {
         id: "exp10_mbba",
         title: "multi-bandwidth bus arbitration",
         rows,
-        solver: solver_totals([&rr, &mbba]),
-        fixpoint: fixpoint_totals([&rr, &mbba]),
+        solver: solver_sum([&rr, &mbba]),
+        fixpoint: fixpoint_sum([&rr, &mbba]),
         sim_skip: SkipStats::default(),
     }
 }
@@ -1493,18 +1491,16 @@ pub fn exp11() -> ExperimentRun {
         id: "exp11_isolation",
         title: "full task isolation",
         rows,
-        solver: solver_totals([&engine, &engine2, &engine3]),
-        fixpoint: fixpoint_totals([&engine, &engine2, &engine3]),
+        solver: solver_sum([&engine, &engine2, &engine3]),
+        fixpoint: fixpoint_sum([&engine, &engine2, &engine3]),
         sim_skip: skip,
     }
 }
 
 /// E12 (paper §2.2/§6): the unsafe solo assumption, measured — solo and
 /// isolation bounds come from one engine (shared task fingerprint and L1
-/// work in the memo). The two analyses run one after the other: as a
-/// parallel batch they would race on the same private-L1 memo key and
-/// warm-start key, and the effort counters would depend on the host's
-/// CPU count.
+/// work in the memo), so the isolation analysis reuses the solo one's
+/// private-L1 fixpoints and warm-starts its solve.
 ///
 /// # Panics
 ///
@@ -1589,8 +1585,8 @@ pub fn exp12() -> ExperimentRun {
         id: "exp12_unsafe_solo",
         title: "the unsafe solo assumption",
         rows,
-        solver: solver_totals([&engine]),
-        fixpoint: fixpoint_totals([&engine]),
+        solver: solver_sum([&engine]),
+        fixpoint: fixpoint_sum([&engine]),
         sim_skip: skip,
     }
 }

@@ -82,28 +82,6 @@ pub fn l2_bound_victim(slot: u32) -> Program {
     synth::switchy(16, 50, 20, Placement::slot(slot))
 }
 
-/// The 8-kernel workload used by the batch-vs-sequential engine
-/// comparison (in `run_all` and the `engine_batch` example): one `(core,
-/// program)` pair per task, spread round-robin over [`machine`]`(4)`.
-#[must_use]
-pub fn comparison_workload() -> Vec<(usize, Program)> {
-    let p = |core: usize| Placement::slot(core as u32);
-    [
-        synth::matmul(8, p(0)),
-        synth::fir(6, 24, p(1)),
-        synth::crc(48, p(2)),
-        synth::bsort(10, p(3)),
-        synth::switchy(8, 40, 8, p(0)),
-        synth::single_path(6, 40, p(1)),
-        synth::pointer_chase(64, 200, p(2)),
-        synth::twin_diamonds(12, p(3)),
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(i, prog)| (i % 4, prog))
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

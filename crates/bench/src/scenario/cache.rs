@@ -521,8 +521,14 @@ fn parse_entry(value: &Json) -> Option<((u64, u64), Vec<CachedRow>)> {
     Some((fp, rows))
 }
 
+/// The integration tests' self-removing temp dir, for the tests below.
+#[cfg(test)]
+#[path = "../../tests/temp_dir/mod.rs"]
+mod temp_dir;
+
 #[cfg(test)]
 mod tests {
+    use super::temp_dir::TempDir;
     use super::*;
 
     fn row(task: &str, wcet: u64) -> CachedRow {
@@ -543,9 +549,8 @@ mod tests {
 
     #[test]
     fn round_trips_and_appends() {
-        let dir = std::env::temp_dir().join("wcet-cache-test-rt");
+        let dir = TempDir::new("cache-test-rt");
         let path = dir.join("memo.jsonl");
-        let _ = std::fs::remove_file(&path);
         let cold = DiskCache::open(&path);
         assert!(cold.is_empty());
         let written = cold
@@ -570,9 +575,8 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_skipped_not_fatal() {
-        let dir = std::env::temp_dir().join("wcet-cache-test-corrupt");
+        let dir = TempDir::new("cache-test-corrupt");
         let path = dir.join("memo.jsonl");
-        let _ = std::fs::remove_file(&path);
         let cache = DiskCache::open(&path);
         cache
             .append(&[((1, 2), vec![row("fir", 10)])])
@@ -589,9 +593,8 @@ mod tests {
 
     #[test]
     fn a_non_utf8_byte_costs_one_entry() {
-        let dir = std::env::temp_dir().join("wcet-cache-test-utf8");
+        let dir = TempDir::new("cache-test-utf8");
         let path = dir.join("memo.jsonl");
-        let _ = std::fs::remove_file(&path);
         let fresh: Vec<_> = (0..100u64).map(|i| ((i, i), vec![row("fir", i)])).collect();
         DiskCache::open(&path).append(&fresh).expect("writes");
         // Flip the high bit of a digit inside the 50th entry's payload.
@@ -628,9 +631,8 @@ mod tests {
 
     #[test]
     fn wrong_schema_is_ignored_then_replaced() {
-        let dir = std::env::temp_dir().join("wcet-cache-test-schema");
+        let dir = TempDir::new("cache-test-schema");
         let path = dir.join("memo.jsonl");
-        std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(
             &path,
             "{\"kind\":\"wcet-campaign-memo\",\"schema\":99}\n{\"fp\":\"x\"}\n",
@@ -648,9 +650,8 @@ mod tests {
 
     #[test]
     fn checkpoints_round_trip_and_only_advance() {
-        let dir = std::env::temp_dir().join("wcet-cache-test-ckpt");
+        let dir = TempDir::new("cache-test-ckpt");
         let path = dir.join("memo.jsonl");
-        let _ = std::fs::remove_file(&path);
         let cache = DiskCache::open(&path);
         cache
             .append(&[((1, 2), vec![row("fir", 10)])])

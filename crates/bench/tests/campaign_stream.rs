@@ -29,8 +29,10 @@
 //!    basis once, not once per solve.
 
 mod common;
+mod temp_dir;
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -42,6 +44,8 @@ use wcet_bench::scenario::{
     FailureKind, ScenarioMatrix,
 };
 use wcet_core::{debug_fingerprint, program_fingerprint};
+
+use temp_dir::TempDir;
 
 /// A materialized run: every cell kept, in expansion order.
 fn collected(matrix: &ScenarioMatrix, threads: usize) -> CampaignRun {
@@ -192,9 +196,7 @@ fn disk_cache_round_trips_and_tolerates_corruption() {
          cycle_limit = [100000, 200000]\ntasks = \"fir:2x4 crc:16\"\n",
     )
     .expect("parses");
-    let dir = std::env::temp_dir().join(format!("wcet-campaign-roundtrip-{}", std::process::id()));
-    let path = dir.join("memo.jsonl");
-    let _ = std::fs::remove_file(&path);
+    let (_dir, path) = temp_memo("roundtrip");
     let opts = || CampaignOptions {
         cache: Some(path.clone()),
         ..CampaignOptions::default()
@@ -233,7 +235,6 @@ fn disk_cache_round_trips_and_tolerates_corruption() {
     assert_eq!(alien_bounds, cold_bounds);
     let replaced = std::fs::read_to_string(&path).expect("cache exists");
     assert!(replaced.starts_with("{\"kind\":\"wcet-campaign-memo\",\"schema\":2}"));
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -302,11 +303,12 @@ const MEMO_MATRIX: &str = "name = memo\ncores = 2\narbiter = [rr, tdma:10]\n\
                            mode = [isolated, joint]\ncycle_limit = [100000, 200000]\n\
                            tasks = \"fir:2x4 crc:16\"\n";
 
-fn temp_memo(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("wcet-campaign-{tag}-{}", std::process::id()));
+/// A memo path in a fresh temp dir of its own; the dir and the memo go
+/// when the returned guard drops.
+fn temp_memo(tag: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(&format!("campaign-{tag}"));
     let path = dir.join("memo.jsonl");
-    let _ = std::fs::remove_file(&path);
-    path
+    (dir, path)
 }
 
 /// Flips one digit inside the JSON payload of the last *entry* line —
@@ -331,7 +333,7 @@ fn poison_last_entry_line(path: &std::path::Path) {
 #[test]
 fn crc_corrupt_entry_is_rejected_counted_and_recomputed() {
     let matrix = parse_matrix(MEMO_MATRIX).expect("parses");
-    let path = temp_memo("crc");
+    let (_dir, path) = temp_memo("crc");
     let opts = || CampaignOptions {
         cache: Some(path.clone()),
         ..CampaignOptions::default()
@@ -356,13 +358,12 @@ fn crc_corrupt_entry_is_rejected_counted_and_recomputed() {
     assert_eq!(third.disk_hits, cold.bounded);
     assert_eq!(third.disk_appended, 0);
     assert_eq!(third_bounds, cold_bounds);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn truncated_final_line_is_skipped_without_losing_entries() {
     let matrix = parse_matrix(MEMO_MATRIX).expect("parses");
-    let path = temp_memo("trunc");
+    let (_dir, path) = temp_memo("trunc");
     let opts = || CampaignOptions {
         cache: Some(path.clone()),
         ..CampaignOptions::default()
@@ -378,7 +379,6 @@ fn truncated_final_line_is_skipped_without_losing_entries() {
     assert_eq!(warm.disk_crc_rejected, 0);
     assert_eq!(warm.disk_hits, cold.bounded, "no entry was lost");
     assert_eq!(warm_bounds, cold_bounds);
-    let _ = std::fs::remove_file(&path);
 }
 
 fn cached_row(task: &str, wcet: u64) -> CachedRow {
@@ -402,7 +402,7 @@ fn append_raw_line(path: &std::path::Path, line: &str) {
 
 #[test]
 fn duplicate_fingerprints_last_write_wins() {
-    let path = temp_memo("dup");
+    let (_dir, path) = temp_memo("dup");
     let cache = DiskCache::open(&path);
     cache
         .append(&[((1, 2), vec![cached_row("fir", 10)])])
@@ -415,12 +415,11 @@ fn duplicate_fingerprints_last_write_wins() {
     assert_eq!(warm.skipped, 0);
     assert_eq!(warm.crc_rejected, 0);
     assert_eq!(warm.lookup((1, 2)), Some(&[cached_row("fir", 99)][..]));
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn checkpoint_newer_than_the_memo_is_ignored() {
-    let path = temp_memo("ckpt-tamper");
+    let (_dir, path) = temp_memo("ckpt-tamper");
     let cache = DiskCache::open(&path);
     cache
         .append(&[((1, 2), vec![cached_row("fir", 10)])])
@@ -441,7 +440,6 @@ fn checkpoint_newer_than_the_memo_is_ignored() {
             entries: 1,
         })
     );
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -508,7 +506,7 @@ fn an_exhausted_cell_wall_clock_fails_the_cell_as_a_deadline() {
 #[test]
 fn zero_deadline_stops_cleanly_and_stays_resumable() {
     let matrix = parse_matrix(MEMO_MATRIX).expect("parses");
-    let path = temp_memo("deadline");
+    let (_dir, path) = temp_memo("deadline");
     let expired = run_campaign(
         &matrix,
         &CampaignOptions {
@@ -532,7 +530,6 @@ fn zero_deadline_stops_cleanly_and_stays_resumable() {
     );
     assert!(!completed.deadline_hit);
     assert!(completed.bounded > 0);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The memo's entry lines (CRC-prefixed data rows), in file order —
@@ -551,8 +548,8 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
     let matrix = parse_matrix(include_str!("../../../scenarios/campaign.scn")).expect("parses");
     const INTERRUPT_AT: usize = 1100;
     const RESUME_TO: usize = 2200;
-    let killed = temp_memo("kill-resume");
-    let reference_memo = temp_memo("kill-resume-ref");
+    let (_killed_dir, killed) = temp_memo("kill-resume");
+    let (_reference_dir, reference_memo) = temp_memo("kill-resume-ref");
 
     // Phase 1: the run that dies — `--limit` plays `kill -9`, and the
     // torn tail below plays the half-written line the kill left behind.
@@ -614,8 +611,6 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
         memo_entry_lines(&reference_memo),
         "kill-then-resume must reproduce the uninterrupted memo"
     );
-    let _ = std::fs::remove_file(&killed);
-    let _ = std::fs::remove_file(&reference_memo);
 }
 
 const ARB_EXTRAS: [&str; 4] = ["tdma:12", "mbba:2-1@12", "wheel:16", "fp:0"];
@@ -683,12 +678,7 @@ proptest! {
              cycle_limit = [100000, 200000]\ntasks = rand:{seed}\n",
         );
         let matrix = parse_matrix(&spec).expect("spec parses");
-        let dir = std::env::temp_dir().join(format!(
-            "wcet-campaign-prop-{}-{seed}-{arb_idx}",
-            std::process::id()
-        ));
-        let path = dir.join("memo.jsonl");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_memo(&format!("prop-{seed}-{arb_idx}"));
         let opts = || CampaignOptions {
             cache: Some(path.clone()),
             keep_cells: true,
@@ -705,6 +695,5 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(project(&cold), project(&warm));
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,10 +1,11 @@
-//! Engine-equivalence guarantee: batch [`AnalysisEngine`] results are
-//! identical — every `WcetReport` field — to sequential [`Analyzer`]
-//! per-task results, on the E01 and E02 experiment configurations.
+//! Engine-equivalence guarantee: a batch of tasks analysed through one
+//! memoizing [`AnalysisEngine`] yields reports identical — every
+//! `WcetReport` field — to per-task [`Analyzer`] calls, on the E01 and
+//! E02 experiment configurations.
 
 use wcet_bench::{l2_bound_machine, l2_bound_victim, machine, suite};
 use wcet_core::analyzer::Analyzer;
-use wcet_core::engine::{AnalysisEngine, Job};
+use wcet_core::engine::AnalysisEngine;
 use wcet_core::mode::{Isolated, JointRefs, Solo};
 use wcet_ir::synth::{matmul, Placement};
 
@@ -14,19 +15,10 @@ fn e01_batch_equals_sequential() {
     let m = machine(1);
     let engine = AnalysisEngine::new(m.clone());
     let an = Analyzer::new(m);
-    let tasks = suite(0);
-    let jobs: Vec<Job<'_>> = tasks.iter().map(|p| Job::new(p, 0, &Solo)).collect();
-    let batch = engine.analyze_batch(&jobs);
-    assert_eq!(batch.len(), tasks.len());
-    for (p, batch_rep) in tasks.iter().zip(batch) {
+    for p in &suite(0) {
         let seq = an.wcet_solo(p, 0, 0).expect("analyses");
-        let batch_rep = batch_rep.expect("analyses");
-        assert_eq!(
-            seq,
-            batch_rep,
-            "{}: engine diverged from analyzer",
-            p.name()
-        );
+        let eng = engine.analyze(p, 0, 0, &Solo).expect("analyses");
+        assert_eq!(seq, eng, "{}: engine diverged from analyzer", p.name());
     }
 }
 
@@ -114,33 +106,27 @@ fn e02_k_sweep_warm_start_equals_cold() {
     assert!(stats.totals.pivots > 0);
 }
 
-/// Mixed-mode batch over the E01 machine: order preserved, every slot
-/// equal to its sequential counterpart.
+/// Mixed modes over the E01 machine: solo on core 0 and isolated on
+/// core 1, alternating through one engine, every report equal to its
+/// sequential counterpart.
 #[test]
 fn mixed_mode_batch_equals_sequential() {
     let m = machine(2);
     let engine = AnalysisEngine::new(m.clone());
     let an = Analyzer::new(m);
-    let tasks = suite(0);
-    let jobs: Vec<Job<'_>> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            if i % 2 == 0 {
-                Job::new(p, i % 2, &Solo)
-            } else {
-                Job::new(p, i % 2, &Isolated)
-            }
-        })
-        .collect();
-    let batch = engine.analyze_batch(&jobs);
-    for (i, (job, rep)) in jobs.iter().zip(batch).enumerate() {
-        let seq = if i % 2 == 0 {
-            an.wcet_solo(job.program, job.core, 0).expect("analyses")
+    for (i, p) in suite(0).iter().enumerate() {
+        let (seq, eng) = if i % 2 == 0 {
+            (an.wcet_solo(p, 0, 0), engine.analyze(p, 0, 0, &Solo))
         } else {
-            an.wcet_isolated(job.program, job.core, 0)
-                .expect("analyses")
+            (
+                an.wcet_isolated(p, 1, 0),
+                engine.analyze(p, 1, 0, &Isolated),
+            )
         };
-        assert_eq!(seq, rep.expect("analyses"), "slot {i} diverged");
+        assert_eq!(
+            seq.expect("analyses"),
+            eng.expect("analyses"),
+            "task {i} diverged"
+        );
     }
 }

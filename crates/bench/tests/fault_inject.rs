@@ -13,6 +13,8 @@
 //! 4. the same seed reproduces the same outcome, cell for cell.
 #![cfg(feature = "fault-inject")]
 
+mod temp_dir;
+
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -21,6 +23,8 @@ use wcet_bench::scenario::{
     parse_matrix, run_campaign, run_campaign_with, CampaignOptions, CampaignRun, FailureKind,
     FaultPlan, ScenarioMatrix,
 };
+
+use temp_dir::TempDir;
 
 /// A fully-bounded small matrix (no build errors): every unique cell
 /// either carries bounds or a failure record, never both.
@@ -131,10 +135,8 @@ fn torn_and_poisoned_memo_writes_are_survived_by_the_next_run() {
             true,
         ),
     ] {
-        let dir =
-            std::env::temp_dir().join(format!("wcet-fault-memo-{label}-{}", std::process::id()));
+        let dir = TempDir::new(&format!("fault-memo-{label}"));
         let path = dir.join("memo.jsonl");
-        let _ = std::fs::remove_file(&path);
         let opts = |fault| CampaignOptions {
             cache: Some(path.clone()),
             fault,
@@ -165,7 +167,6 @@ fn torn_and_poisoned_memo_writes_are_survived_by_the_next_run() {
             recovered_run.disk_hits > 0,
             "{label}: intact entries still serve"
         );
-        let _ = std::fs::remove_file(&path);
     }
 }
 

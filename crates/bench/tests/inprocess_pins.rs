@@ -4,8 +4,8 @@
 //! waits whether the adversarial replay runs to completion or stops at
 //! the watched victim's retirement. `exp06`, `exp07` and `exp13` are
 //! pinned to the tables their standalone binaries printed before the
-//! port, and `exp12`'s effort counters must not depend on the host's
-//! CPU count.
+//! port, and `exp12`'s rows and effort counters must equal a direct
+//! engine run's, whatever the host's CPU count.
 
 use std::collections::BTreeMap;
 
@@ -14,8 +14,8 @@ use wcet_bench::experiments::{self, ExperimentRun};
 use wcet_bench::{bully, l2_bound_machine, l2_bound_victim};
 use wcet_cache::bypass::single_usage_lines;
 use wcet_core::analyzer::Analyzer;
-use wcet_core::engine::{AnalysisEngine, Job};
-use wcet_core::mode::{Isolated, Solo};
+use wcet_core::engine::AnalysisEngine;
+use wcet_core::mode::{AnalysisMode, Isolated, Solo};
 use wcet_core::validate::{run_machine, run_machine_watched};
 use wcet_ir::synth::{crc, matmul, pointer_chase_stride, single_path, twin_diamonds, Placement};
 use wcet_sched::{lifetime_fixpoint, Task, TaskId, TaskSet};
@@ -243,12 +243,10 @@ fn exp12_effort_is_independent_of_the_cpu_count() {
     let mut m = MachineConfig::symmetric(4);
     m.memory = wcet_arbiter::MemoryKind::Predictable { latency: 8 };
     let victim = pointer_chase_stride(4096, 400, 32, Placement::slot(0));
-    let engine = AnalysisEngine::new(m).with_threads(1);
-    let reports =
-        engine.analyze_batch(&[Job::new(&victim, 0, &Solo), Job::new(&victim, 0, &Isolated)]);
-    let expected: Vec<u64> = reports
+    let engine = AnalysisEngine::new(m);
+    let expected: Vec<u64> = [&Solo as &dyn AnalysisMode, &Isolated]
         .into_iter()
-        .map(|r| r.expect("analyses").wcet)
+        .map(|mode| engine.analyze(&victim, 0, 0, mode).expect("analyses").wcet)
         .collect();
     assert_eq!(wcets(&run), expected);
     assert_eq!(run.solver, engine.solver_stats());

@@ -40,7 +40,7 @@ fn results_schema_is_current_and_campaign_throughput_parses() {
         .get("schema")
         .and_then(Json::as_u64)
         .expect("document carries a schema number");
-    assert!(schema >= 15, "schema regressed below 15: {schema}");
+    assert!(schema >= 16, "schema regressed below 16: {schema}");
 
     // Schema 9's suite-level wall clock.
     let total_ms = doc
@@ -146,8 +146,6 @@ fn fixpoint_blocks_carry_schema9_kernel_counters() {
 #[test]
 fn every_counter_block_decodes() {
     let doc = checked_in_results();
-    decode::<SolverStats>(&doc, &["batch_vs_sequential", "solver"]);
-    decode::<FixpointStats>(&doc, &["batch_vs_sequential", "fixpoint"]);
     decode::<SolverStats>(&doc, &["solver_warm_vs_cold", "warm"]);
     for at in [
         &["scenarios"][..],
@@ -172,9 +170,7 @@ fn every_counter_block_decodes() {
 const TIMING_KEYS: &[&str] = &[
     "wall_ms",
     "total_ms",
-    "batch_ms",
-    "sequential_ms",
-    "speedup",
+    "cold_ms",
     "cells_per_sec",
     "req_per_sec",
     "throughput_rps",
@@ -186,7 +182,8 @@ const TIMING_KEYS: &[&str] = &[
 /// The campaign passes, which run one worker per CPU. Which worker
 /// reaches a shared memo entry or solve key first decides hits against
 /// misses and warm against cold solves, and with them the solver and
-/// fixpoint work. (Every other parallel pass runs a fixed worker count.)
+/// fixpoint work. (The serving pass submits one request at a time; the
+/// load pass's volatile values are listed in [`VOLATILE_PATHS`].)
 const PARALLEL_PASSES: &[&str] = &[
     "campaign.cold",
     "campaign.warm",

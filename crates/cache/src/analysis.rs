@@ -185,12 +185,6 @@ impl CacheAnalysis {
         self.classes.iter().map(|(&s, &c)| (s, c))
     }
 
-    /// Distinct lines the task may install into `set`.
-    #[must_use]
-    pub fn footprint_lines(&self, set: u32) -> usize {
-        self.footprint.get(&set).map_or(0, BTreeSet::len)
-    }
-
     /// Per-set footprint map (set → lines).
     #[must_use]
     pub fn footprint(&self) -> &BTreeMap<u32, BTreeSet<LineAddr>> {
@@ -939,7 +933,7 @@ mod tests {
             assert_eq!(res.class((a.block, a.seq)), Some(Classification::AlwaysHit));
         }
         // Locked lines are excluded from the footprint.
-        assert_eq!(res.footprint_lines(cache.set_of(line)), 0);
+        assert!(!res.footprint().values().any(|lines| lines.contains(&line)));
     }
 
     #[test]
@@ -983,7 +977,7 @@ mod tests {
         let cache = dcache(8, 2);
         let input = AnalysisInput::level1(cache, LevelKind::Data);
         let res = analyze(&p, &input);
-        let total: usize = (0..8).map(|s| res.footprint_lines(s)).sum();
+        let total: usize = res.footprint().values().map(BTreeSet::len).sum();
         // 3 matrices × 16 words × 8 B = 384 B = 12 lines of 32 B.
         assert_eq!(total, 12);
     }

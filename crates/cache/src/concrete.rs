@@ -94,14 +94,6 @@ impl ConcreteCache {
         locked
     }
 
-    /// Unlocks everything (dynamic locking region switch); previously locked
-    /// lines are discarded.
-    pub fn unlock_all(&mut self) {
-        for set in &mut self.locked {
-            set.clear();
-        }
-    }
-
     fn unlocked_ways(&self, set: usize) -> usize {
         (self.config.ways() as usize).saturating_sub(self.locked[set].len())
     }
@@ -227,17 +219,6 @@ mod tests {
         assert!(!c.access(LineAddr(7)).is_hit());
         // Line 0 untouched by the bypassed accesses.
         assert!(c.access(LineAddr(0)).is_hit());
-    }
-
-    #[test]
-    fn unlock_all_discards_pins() {
-        let mut c = cache(1, 1);
-        c.lock([LineAddr(3)]);
-        assert!(c.access(LineAddr(3)).is_hit());
-        c.unlock_all();
-        assert!(!c.access(LineAddr(3)).is_hit()); // reloaded as normal line
-        assert!(!c.access(LineAddr(4)).is_hit()); // and evictable again
-        assert!(!c.access(LineAddr(3)).is_hit());
     }
 
     #[test]

@@ -661,26 +661,6 @@ impl AbsCacheState {
         changed
     }
 
-    /// Shifts every must age in `set` up by `delta`, evicting lines whose
-    /// age reaches the way count (shared-cache interference, paper §4.1:
-    /// each conflicting line of a co-runner can age our contents by one).
-    pub fn shift_must_ages(&mut self, dom: &CacheDomain, set: usize, delta: u32) {
-        if delta == 0 || dom.words[set] == 0 {
-            return;
-        }
-        let ways = dom.set_ways[set];
-        let w = dom.words[set];
-        kernel::count_words(ways as usize * w);
-        for age in (delta..ways).rev() {
-            let (dst, src) = (dom.row(set, age).start, dom.row(set, age - delta).start);
-            self.must.copy_within(src..src + w, dst);
-        }
-        for age in 0..delta.min(ways) {
-            let r = dom.row(set, age);
-            self.must[r].fill(0);
-        }
-    }
-
     /// Applies one access of a compiled transfer program. `masks` is the
     /// arena holding the step's candidate masks.
     pub(crate) fn apply_step(
@@ -795,19 +775,6 @@ impl AbsCacheState {
         let (must, may) = slab.split_at_mut(dom.total_words);
         kernel::copy_row(must, &self.must);
         kernel::copy_row(may, &self.may);
-    }
-
-    /// Number of lines tracked in the must state of `set` (diagnostics).
-    #[must_use]
-    pub fn must_len(&self, dom: &CacheDomain, set: usize) -> usize {
-        (0..dom.set_ways[set])
-            .map(|age| {
-                self.must[dom.row(set, age)]
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum::<usize>()
-            })
-            .sum()
     }
 }
 
@@ -1017,19 +984,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_must_ages_evicts() {
-        let (a, b) = (LineAddr(0), LineAddr(1));
-        let dom = dom2(&[a, b]);
-        let (ra, rb) = (dom.intern(a).unwrap(), dom.intern(b).unwrap());
-        let mut s = dom.cold();
-        s.access(&dom, ra);
-        s.access(&dom, rb); // a:1, b:0
-        s.shift_must_ages(&dom, 0, 1);
-        assert_eq!(s.must_age(&dom, ra), None); // 1+1 == ways
-        assert_eq!(s.must_age(&dom, rb), Some(1));
-    }
-
-    #[test]
     fn zero_way_set_is_inert() {
         let dom = CacheDomain::new(vec![0], vec![vec![LineAddr(0)]]);
         let r = dom.intern(LineAddr(0)).unwrap();
@@ -1071,7 +1025,6 @@ mod tests {
         for (i, &l) in lines[96..].iter().enumerate() {
             assert_eq!(s.must_age(&dom, dom.intern(l).unwrap()), Some(3 - i as u32));
         }
-        assert_eq!(s.must_len(&dom, 0), 4);
         assert!(!s.may_contain(&dom, dom.intern(lines[0]).unwrap()));
         assert!(s.may_contain(&dom, dom.intern(lines[96]).unwrap()));
     }

@@ -61,4 +61,4 @@ pub use config::{CacheConfig, ConfigError, LineAddr};
 pub use domain::{AbsCacheState, CacheDomain, LineRef};
 pub use multilevel::{analyze_hierarchy, reach_filter, HierarchyAnalysis, HierarchyConfig};
 pub use partition::{AllocationPolicy, OwnerId, PartitionPlan};
-pub use shared::{ConflictDowngrade, InterferenceMap};
+pub use shared::InterferenceMap;

@@ -4,8 +4,8 @@
 //!
 //! * **Yan & Zhang \[40\]** — direct-mapped shared L2: any co-runner line in
 //!   the same set kills the classification of the task's accesses to that
-//!   set (to `ALWAYS_MISS`, or `NOT_CLASSIFIED` when timing anomalies are a
-//!   concern — configurable via [`ConflictDowngrade`]).
+//!   set. The age shift below covers it: one conflicting line already
+//!   saturates a one-way set.
 //! * **Li et al. \[41\] / Hardy et al. \[12\]** — set-associative shared L2:
 //!   each distinct conflicting line of a co-runner can age the task's lines
 //!   by one, so must-ages are shifted by the count of distinct interfering
@@ -18,20 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use wcet_ir::Program;
 
-use crate::analysis::{CacheAnalysis, SiteId};
 use crate::config::CacheConfig;
-
-/// How conflicts degrade classifications on a direct-mapped shared cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConflictDowngrade {
-    /// Conflicting accesses become `ALWAYS_MISS` (sound on
-    /// timing-compositional hardware — this toolkit's simulator).
-    #[default]
-    AlwaysMiss,
-    /// Conflicting accesses become `NOT_CLASSIFIED` (required if the target
-    /// may exhibit timing anomalies; paper §4.1's caveat).
-    NotClassified,
-}
 
 /// The per-set interference a set of co-runners exerts on a shared cache:
 /// the number of distinct lines they may install per set.
@@ -93,8 +80,9 @@ impl InterferenceMap {
 ///
 /// Useful as the safe default when no L1 analysis of the co-runner is
 /// available (e.g. a non-analysable co-runner — the paper's §3.1 concern);
-/// the refined footprint from [`CacheAnalysis::footprint`] is tighter
-/// because L1 hits never reach the shared L2.
+/// the refined footprint from
+/// [`crate::analysis::CacheAnalysis::footprint`] is tighter because L1
+/// hits never reach the shared L2.
 #[must_use]
 pub fn conservative_footprint(
     program: &Program,
@@ -114,63 +102,6 @@ pub fn conservative_footprint(
         }
     }
     fp
-}
-
-/// Post-hoc downgrade for *direct-mapped* shared caches (Yan & Zhang):
-/// returns the classification map with every access to a conflicted set
-/// degraded per `mode`.
-///
-/// For set-associative caches use the age-shift path instead (pass the
-/// interference's [`InterferenceMap::shift_vector`] as
-/// [`AnalysisInput::interference_shift`](crate::analysis::AnalysisInput)).
-#[must_use]
-pub fn downgrade_direct_mapped(
-    own: &CacheAnalysis,
-    cache: &CacheConfig,
-    program: &Program,
-    interference: &InterferenceMap,
-    mode: ConflictDowngrade,
-) -> BTreeMap<SiteId, crate::analysis::Classification> {
-    use crate::analysis::Classification;
-    use wcet_ir::program::AccessAddrs;
-
-    // Which sets are conflicted?
-    let conflicted: BTreeSet<u32> = (0..cache.sets())
-        .filter(|&s| interference.lines(s) > 0)
-        .collect();
-
-    // Map each site to the sets it touches.
-    let mut site_sets: BTreeMap<SiteId, Vec<u32>> = BTreeMap::new();
-    for (b, _) in program.cfg().iter() {
-        for acc in program.accesses(b) {
-            let lines = match acc.addrs {
-                AccessAddrs::Exact(a) => vec![cache.line_of(a)],
-                AccessAddrs::Range { base, bytes } => cache.lines_of_range(base, bytes),
-            };
-            site_sets.insert(
-                (acc.block, acc.seq),
-                lines.iter().map(|&l| cache.set_of(l)).collect(),
-            );
-        }
-    }
-
-    own.iter()
-        .map(|(site, class)| {
-            let touches_conflict = site_sets
-                .get(&site)
-                .map(|sets| sets.iter().any(|s| conflicted.contains(s)))
-                .unwrap_or(false);
-            let new_class = if touches_conflict {
-                match mode {
-                    ConflictDowngrade::AlwaysMiss => Classification::AlwaysMiss,
-                    ConflictDowngrade::NotClassified => Classification::NotClassified,
-                }
-            } else {
-                class
-            };
-            (site, new_class)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -235,28 +166,6 @@ mod tests {
         );
         assert!(ah(&with_far) <= ah(&baseline));
         assert!(ah(&with_same) < ah(&baseline), "full conflict must hurt");
-    }
-
-    #[test]
-    fn direct_mapped_downgrade_kills_conflicted_sets_only() {
-        let cache = CacheConfig::new(8, 1, 32, 4).expect("valid");
-        let victim = fir(2, 4, Placement::slot(0));
-        let input = AnalysisInput::level1(cache, LevelKind::Unified);
-        let own = analyze(&victim, &input);
-
-        // Interference only on set 3.
-        let mut fp: BTreeMap<u32, BTreeSet<LineAddr>> = BTreeMap::new();
-        fp.entry(3).or_default().insert(LineAddr(3));
-        let im = InterferenceMap::from_footprints([&fp]);
-        let degraded =
-            downgrade_direct_mapped(&own, &cache, &victim, &im, ConflictDowngrade::AlwaysMiss);
-        // Sites not touching set 3 keep their class.
-        for (site, class) in own.iter() {
-            let new = degraded[&site];
-            if new != class {
-                assert_eq!(new, crate::analysis::Classification::AlwaysMiss);
-            }
-        }
     }
 
     #[test]

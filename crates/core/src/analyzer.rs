@@ -115,36 +115,19 @@ pub struct TaskContext {
 #[derive(Debug, Clone)]
 pub struct Analyzer {
     machine: MachineConfig,
-    options: IpetOptions,
 }
 
 impl Analyzer {
     /// Creates an analyser for `machine`.
     #[must_use]
     pub fn new(machine: MachineConfig) -> Analyzer {
-        Analyzer {
-            machine,
-            options: IpetOptions::default(),
-        }
-    }
-
-    /// Overrides the IPET options (builder-style).
-    #[must_use]
-    pub fn with_options(mut self, options: IpetOptions) -> Analyzer {
-        self.options = options;
-        self
+        Analyzer { machine }
     }
 
     /// The machine description.
     #[must_use]
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
-    }
-
-    /// The IPET options in effect.
-    #[must_use]
-    pub fn options(&self) -> &IpetOptions {
-        &self.options
     }
 
     /// Total bus-requester slots (hardware threads).
@@ -318,7 +301,7 @@ impl Analyzer {
             mode: ctx.mode,
         };
         let costs = block_costs(program, &hierarchy, &cost_input)?;
-        let bound = wcet_ipet(program, &costs, &self.options)?;
+        let bound = wcet_ipet(program, &costs, &IpetOptions::default())?;
         Ok(build_report(
             program,
             mode_name,

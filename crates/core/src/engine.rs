@@ -1,25 +1,25 @@
-//! The batch analysis engine: memoized intermediates + parallel fan-out.
+//! The memoizing per-task analysis engine.
 //!
 //! [`crate::analyzer::Analyzer`] recomputes every intermediate — cache
 //! hierarchy fixpoints ([`wcet_cache::multilevel::analyze_hierarchy`]),
 //! block costs ([`wcet_pipeline::cost::block_costs`]) and the IPET solve —
-//! on every call. Experiment drivers ask for the same task under several
-//! modes, several co-runner sets and several machines, so whole fixpoints
-//! are recomputed dozens of times; and a task *set* is embarrassingly
-//! parallel across tasks.
+//! on every call. Experiment drivers and campaign cells ask for the same
+//! task under several modes, several co-runner sets and several machines,
+//! so whole fixpoints would be recomputed dozens of times.
 //!
-//! [`AnalysisEngine`] fixes both:
+//! [`AnalysisEngine`] caches the shared intermediates in a [`MemoDomain`],
+//! keyed by `(task fingerprint, effective cache geometry, interference)`:
+//! hierarchy fixpoints by `HierKey`-equivalence, block costs and IPET
+//! bounds additionally by the bus bound, core mode, timings and pipeline.
+//! Two modes that induce the same effective context (e.g. `solo` and
+//! `isolated` on a partitioned L2) share everything but the report label.
+//! Every IPET solve goes through one [`SolveContext`], which warm-starts
+//! re-solves of a known constraint system and counts the solver's work.
 //!
-//! * **Memoization** — shared intermediates are cached keyed by
-//!   `(task fingerprint, effective cache geometry, interference)`:
-//!   hierarchy fixpoints by `HierKey`-equivalence, block costs and IPET
-//!   bounds additionally by the bus bound and core mode. Two modes that
-//!   induce the same effective context (e.g. `solo` and `isolated` on a
-//!   partitioned L2) share everything but the report label.
-//! * **Parallelism** — [`AnalysisEngine::analyze_batch`] fans jobs out
-//!   across `std::thread::scope` workers (default: one per available
-//!   core), and [`AnalysisEngine::analyze_task_set`] does the same for a
-//!   whole [`wcet_sched::TaskSet`] in one call.
+//! The engine starts no threads. The domain and the context are
+//! internally locked and `Arc`-shared, so the callers that analyse in
+//! parallel (the campaign runner's workers and, through the runner, the
+//! server's request workers) give every engine they build the same pair.
 //!
 //! Results are byte-identical to the sequential [`Analyzer`] path: every
 //! memoized function is deterministic in its key.
@@ -28,19 +28,17 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use wcet_cache::analysis::{AnalysisInput, CacheAnalysis};
 use wcet_cache::config::{CacheConfig, LineAddr};
 use wcet_cache::multilevel::{analyze_hierarchy, HierarchyAnalysis, HierarchyConfig};
-use wcet_ilp::SolveStats;
-use wcet_ir::fingerprint::{debug_fingerprint, program_fingerprint};
+use wcet_ir::fingerprint::program_fingerprint;
 use wcet_ir::fixpoint::FixpointStats;
 use wcet_ir::Program;
 use wcet_pipeline::cost::{block_costs, BlockCosts, CoreMode, CostInput};
 use wcet_pipeline::{MemTimings, PipelineConfig};
-use wcet_sched::TaskSet;
 use wcet_sim::config::MachineConfig;
 
 use crate::analyzer::{build_report, AnalysisError, Analyzer, TaskContext, WcetReport};
@@ -124,15 +122,6 @@ struct CostKey {
     mode: CoreMode,
     timings: MemTimings,
     pipeline: PipelineConfig,
-}
-
-/// Memo key of IPET bounds: the cost key plus the IPET options'
-/// fingerprint (options change the solve, so engines with different
-/// options sharing one [`MemoDomain`] must not alias bounds).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct BoundKey {
-    cost: CostKey,
-    options: (u64, u64),
 }
 
 /// Monotonic hit/miss/eviction counters for one memo table.
@@ -338,44 +327,6 @@ impl MemoStats {
     }
 }
 
-/// One unit of batch work: a task placed at `(core, thread)`, analysed
-/// under `mode`.
-#[derive(Clone, Copy)]
-pub struct Job<'a> {
-    /// The task.
-    pub program: &'a Program,
-    /// Core index in the engine's machine.
-    pub core: usize,
-    /// Hardware-thread index within the core.
-    pub thread: usize,
-    /// The approach family to apply.
-    pub mode: &'a dyn AnalysisMode,
-}
-
-impl<'a> Job<'a> {
-    /// A job at thread slot 0 of `core`.
-    #[must_use]
-    pub fn new(program: &'a Program, core: usize, mode: &'a dyn AnalysisMode) -> Job<'a> {
-        Job {
-            program,
-            core,
-            thread: 0,
-            mode,
-        }
-    }
-}
-
-impl std::fmt::Debug for Job<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job")
-            .field("program", &self.program.name())
-            .field("core", &self.core)
-            .field("thread", &self.thread)
-            .field("mode", &self.mode.name())
-            .finish()
-    }
-}
-
 /// The shared memo tables of one or more [`AnalysisEngine`]s.
 ///
 /// Every key is machine-independent (geometry, timings and interference
@@ -394,7 +345,7 @@ pub struct MemoDomain {
     hierarchies: MemoTable<Arc<HierKey>, Arc<HierarchyAnalysis>>,
     l1s: MemoTable<L1Key, Arc<(CacheAnalysis, CacheAnalysis)>>,
     costs: MemoTable<CostKey, Arc<BlockCosts>>,
-    bounds: MemoTable<BoundKey, WcetBound>,
+    bounds: MemoTable<CostKey, WcetBound>,
     /// Per-table entry cap; `None` = unbounded (the default).
     budget: Option<NonZeroUsize>,
     /// Logical LRU clock, bumped on every table hit and insert.
@@ -475,44 +426,29 @@ pub struct TaskArtifacts {
     hierarchy: Arc<HierarchyAnalysis>,
 }
 
-/// The memoizing, parallel batch analyser. See the [module docs](self).
+/// The memoizing per-task analyser. See the [module docs](self).
 #[derive(Debug)]
 pub struct AnalysisEngine {
     analyzer: Analyzer,
-    threads: Option<NonZeroUsize>,
     /// All memo tables live here; see [`MemoDomain`] for sharing.
     memo: Arc<MemoDomain>,
-    /// Fingerprint of the analyser's IPET options, a [`BoundKey`] member.
-    options_fp: (u64, u64),
-    /// Warm-start basis cache threaded through every IPET solve. Keyed
-    /// by task content only, so it survives `with_options` (options
-    /// change the solve, never the constraint system the basis is for)
-    /// and can be shared across engines (the constraint system is
+    /// Warm-start basis cache threaded through every IPET solve, and the
+    /// tally of the solves it served. Keyed by task content only, so it
+    /// can be shared across engines (the constraint system is
     /// machine-independent, so a scenario sweep over many machines still
     /// warm-starts every re-solve of a known task).
     solve_ctx: Arc<SolveContext>,
-    solver_totals: Mutex<SolveStats>,
 }
 
 impl AnalysisEngine {
-    /// Creates an engine for `machine` with default IPET options and one
-    /// worker per available hardware thread.
+    /// Creates an engine for `machine` with a private memo domain and
+    /// solve context.
     #[must_use]
     pub fn new(machine: MachineConfig) -> AnalysisEngine {
-        AnalysisEngine::from_analyzer(Analyzer::new(machine))
-    }
-
-    /// Wraps an existing analyser (keeping its IPET options).
-    #[must_use]
-    pub fn from_analyzer(analyzer: Analyzer) -> AnalysisEngine {
-        let options_fp = debug_fingerprint(analyzer.options());
         AnalysisEngine {
-            analyzer,
-            threads: None,
+            analyzer: Analyzer::new(machine),
             memo: Arc::new(MemoDomain::new()),
-            options_fp,
             solve_ctx: Arc::new(SolveContext::new()),
-            solver_totals: Mutex::new(SolveStats::default()),
         }
     }
 
@@ -522,8 +458,8 @@ impl AnalysisEngine {
     /// bit-identical by construction), only the pivot bill shrinks.
     ///
     /// Note that [`AnalysisEngine::solver_stats`] reports the *context's*
-    /// warm/cold counters, which become shared too; aggregate them once
-    /// per shared context, not per engine.
+    /// counters, which become shared too; aggregate them once per shared
+    /// context, not per engine.
     #[must_use]
     pub fn with_solve_context(mut self, ctx: Arc<SolveContext>) -> AnalysisEngine {
         self.solve_ctx = ctx;
@@ -548,24 +484,6 @@ impl AnalysisEngine {
         &self.memo
     }
 
-    /// Overrides the IPET options (builder-style). Memoized bounds are
-    /// keyed by an options fingerprint, so previously cached bounds stay
-    /// valid (and shared domains are never cross-contaminated).
-    #[must_use]
-    pub fn with_options(mut self, options: IpetOptions) -> AnalysisEngine {
-        self.analyzer = self.analyzer.clone().with_options(options);
-        self.options_fp = debug_fingerprint(self.analyzer.options());
-        self
-    }
-
-    /// Overrides the worker count for batch calls (builder-style).
-    /// `0` restores the default of one worker per available core.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> AnalysisEngine {
-        self.threads = NonZeroUsize::new(threads);
-        self
-    }
-
     /// The wrapped sequential analyser.
     #[must_use]
     pub fn analyzer(&self) -> &Analyzer {
@@ -585,16 +503,13 @@ impl AnalysisEngine {
         self.memo.stats()
     }
 
-    /// Current ILP-solver effort: the warm-start context's hit/cold
-    /// counters plus every per-solve counter (pivots, phase-1 skips…)
-    /// summed over the bounds this engine actually solved (memo hits
-    /// re-solve nothing and add nothing).
+    /// Current ILP-solver effort of the engine's (possibly shared)
+    /// [`SolveContext`]: warm-start hits, cold solves and every per-solve
+    /// counter (pivots, phase-1 skips…) summed over the solves it served
+    /// (memo hits re-solve nothing and add nothing).
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
-        SolverStats {
-            totals: *lock_ok(&self.solver_totals),
-            ..self.solve_ctx.stats()
-        }
+        self.solve_ctx.stats()
     }
 
     /// Worklist-fixpoint effort across every cache analysis computed
@@ -706,75 +621,6 @@ impl AnalysisEngine {
                 hierarchy,
             },
         ))
-    }
-
-    /// Analyses a batch of jobs across worker threads. Results are
-    /// returned in job order; each job fails independently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked (propagating the panic).
-    pub fn analyze_batch(&self, jobs: &[Job<'_>]) -> Vec<Result<WcetReport, AnalysisError>> {
-        let workers = self
-            .threads
-            .or_else(|| std::thread::available_parallelism().ok())
-            .map_or(1, NonZeroUsize::get)
-            .min(jobs.len());
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .map(|j| self.analyze(j.program, j.core, j.thread, j.mode))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<WcetReport, AnalysisError>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let result = self.analyze(job.program, job.core, job.thread, job.mode);
-                    *slots[i].lock().expect("result slot") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("every job slot is filled")
-            })
-            .collect()
-    }
-
-    /// Analyses a whole task set in one batch call: task `i` runs
-    /// `programs[i]` on its mapped core (hardware-thread slot 0 — task
-    /// sets model timesharing, not SMT placement), all under `mode`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `programs.len() != set.len()` or a worker panicked.
-    pub fn analyze_task_set(
-        &self,
-        set: &TaskSet,
-        programs: &[Program],
-        mode: &dyn AnalysisMode,
-    ) -> Vec<Result<WcetReport, AnalysisError>> {
-        assert_eq!(
-            programs.len(),
-            set.len(),
-            "one program per task: got {} programs for {} tasks",
-            programs.len(),
-            set.len()
-        );
-        let jobs: Vec<Job<'_>> = set
-            .ids()
-            .zip(programs)
-            .map(|(id, program)| Job::new(program, set.task(id).core, mode))
-            .collect();
-        self.analyze_batch(&jobs)
     }
 
     /// The memoized refined L2 footprint of a task on `core` (see
@@ -899,18 +745,13 @@ impl AnalysisEngine {
         &self,
         program: &Program,
         costs: &BlockCosts,
-        cost_key: CostKey,
+        key: CostKey,
     ) -> Result<WcetBound, AnalysisError> {
         let memo = &*self.memo;
-        let key = BoundKey {
-            cost: cost_key,
-            options: self.options_fp,
-        };
         if let Some(hit) = memo.bounds.lookup(&key, &memo.clock) {
             return Ok(hit);
         }
-        let computed = wcet_ipet_ctx(program, costs, self.analyzer.options(), &self.solve_ctx)?;
-        lock_ok(&self.solver_totals).absorb(&computed.solver);
+        let computed = wcet_ipet_ctx(program, costs, &IpetOptions::default(), &self.solve_ctx)?;
         Ok(memo.bounds.insert(key, computed, &memo.clock, memo.budget))
     }
 }
@@ -960,34 +801,25 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_order_and_independent_failures() {
+    fn failures_stay_independent() {
         let mut machine = MachineConfig::symmetric(4);
-        // Only core 0 is the HRT bus requester: jobs on other cores have
-        // no delay bound and must fail in isolation mode — alone.
+        // Only core 0 is the HRT bus requester: tasks on other cores have
+        // no delay bound and must fail in isolation mode — alone, without
+        // disturbing the analyses around them.
         machine.bus.arbiter = wcet_arbiter::ArbiterKind::FixedPriority { hrt: 0 };
         let engine = AnalysisEngine::new(machine);
         let a = fir(4, 8, Placement::slot(0));
         let b = matmul(6, Placement::slot(1));
-        let jobs = [
-            Job::new(&a, 0, &Isolated),
-            Job {
-                program: &b,
-                core: 1,
-                thread: 0,
-                mode: &Isolated,
-            },
-            Job::new(&b, 2, &Solo),
-        ];
-        let results = engine.analyze_batch(&jobs);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].as_ref().expect("ok").task, a.name());
+        let first = engine.analyze(&a, 0, 0, &Isolated).expect("ok");
+        assert_eq!(first.task, a.name());
         assert_eq!(
-            results[1]
-                .as_ref()
+            engine
+                .analyze(&b, 1, 0, &Isolated)
                 .expect_err("best-effort core must be unbounded"),
-            &AnalysisError::Unbounded
+            AnalysisError::Unbounded
         );
-        assert_eq!(results[2].as_ref().expect("ok").task, b.name());
+        assert_eq!(engine.analyze(&b, 2, 0, &Solo).expect("ok").task, b.name());
+        assert_eq!(engine.analyze(&a, 0, 0, &Isolated).expect("ok"), first);
     }
 
     #[test]

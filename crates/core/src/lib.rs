@@ -52,7 +52,7 @@ pub mod yieldgraph;
 
 pub use analyzer::{AnalysisError, Analyzer, TaskContext, WcetReport};
 pub use bcet::{bcet_ipet, best_block_costs};
-pub use engine::{AnalysisEngine, Job, MemoDomain, MemoStats, SolverStats, TaskArtifacts};
+pub use engine::{AnalysisEngine, MemoDomain, MemoStats, SolverStats, TaskArtifacts};
 pub use ipet::{wcet_ipet, wcet_ipet_ctx, IpetError, IpetOptions, SolveContext, WcetBound};
 pub use mode::{AnalysisMode, Footprint, Isolated, JointRefs, Solo};
 pub use report::Table;

@@ -27,10 +27,7 @@ pub type Footprint = BTreeMap<u32, BTreeSet<LineAddr>>;
 
 /// One of the paper's approach families, reduced to the two decisions the
 /// per-task analysis actually varies on.
-///
-/// `Sync` is required so one mode value can drive a whole batch across
-/// the [`crate::engine::AnalysisEngine`]'s worker threads.
-pub trait AnalysisMode: Sync {
+pub trait AnalysisMode {
     /// Mode label recorded in [`crate::analyzer::WcetReport::mode`].
     fn name(&self) -> &str;
 

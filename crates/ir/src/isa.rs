@@ -390,19 +390,6 @@ impl Cond {
             Cond::GeU => (lhs as u64) >= (rhs as u64),
         }
     }
-
-    /// The negated condition.
-    #[must_use]
-    pub fn negate(self) -> Cond {
-        match self {
-            Cond::Eq => Cond::Ne,
-            Cond::Ne => Cond::Eq,
-            Cond::Lt => Cond::Ge,
-            Cond::Ge => Cond::Lt,
-            Cond::LtU => Cond::GeU,
-            Cond::GeU => Cond::LtU,
-        }
-    }
 }
 
 impl fmt::Display for Cond {
@@ -476,9 +463,14 @@ mod tests {
         assert!(Cond::Lt.eval(-1, 0));
         assert!(!Cond::LtU.eval(-1, 0)); // -1 as u64 is huge
         assert!(Cond::GeU.eval(-1, 0));
-        for c in [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::LtU, Cond::GeU] {
+        // The conditions come in negated pairs.
+        for (c, not_c) in [
+            (Cond::Eq, Cond::Ne),
+            (Cond::Lt, Cond::Ge),
+            (Cond::LtU, Cond::GeU),
+        ] {
             for (a, b) in [(0, 0), (1, 2), (-3, 7), (i64::MIN, i64::MAX)] {
-                assert_ne!(c.eval(a, b), c.negate().eval(a, b));
+                assert_ne!(c.eval(a, b), not_c.eval(a, b));
             }
         }
     }

@@ -1,8 +1,7 @@
-//! Human-readable listings and Graphviz output.
+//! Human-readable program listings.
 
 use std::fmt::Write as _;
 
-use crate::cfg::Cfg;
 use crate::program::Program;
 
 /// Renders a full assembly-style listing of the program.
@@ -27,29 +26,6 @@ pub fn listing(program: &Program) -> String {
     out
 }
 
-/// Renders the CFG in Graphviz `dot` syntax.
-#[must_use]
-pub fn to_dot(cfg: &Cfg, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{name}\" {{");
-    let _ = writeln!(out, "  node [shape=box fontname=monospace];");
-    for (id, blk) in cfg.iter() {
-        let mut label = format!("{id}\\n");
-        for ins in blk.instrs() {
-            let _ = write!(label, "{ins}\\l");
-        }
-        let _ = write!(label, "{}\\l", blk.terminator());
-        // Keep "->" exclusive to edge lines so the output stays greppable.
-        let label = label.replace("->", "=>");
-        let _ = writeln!(out, "  {} [label=\"{}\"];", id.index(), label);
-    }
-    for e in cfg.edges() {
-        let _ = writeln!(out, "  {} -> {};", e.from.index(), e.to.index());
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,14 +39,5 @@ mod tests {
             assert!(text.contains(&format!("{id}:")), "missing {id}");
         }
         assert!(text.contains("; data"));
-    }
-
-    #[test]
-    fn dot_is_well_formed() {
-        let p = crc(4, Placement::default());
-        let dot = to_dot(p.cfg(), p.name());
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.trim_end().ends_with('}'));
-        assert_eq!(dot.matches(" -> ").count(), p.cfg().edges().len());
     }
 }

@@ -389,12 +389,6 @@ impl Program {
             .offset(self.cfg.block(last).fetch_slots() as u64 * INSTR_BYTES)
     }
 
-    /// Code size in bytes.
-    #[must_use]
-    pub fn code_bytes(&self) -> u64 {
-        self.code_end().0 - self.layout.code_base.0
-    }
-
     /// All memory access sites of `block` in program order: one `Fetch` per
     /// instruction slot, with `Load`/`Store` sites interleaved right after
     /// the fetch of their instruction.
@@ -506,7 +500,6 @@ mod tests {
         assert_eq!(p.block_addr(b), Addr(0x10c));
         assert_eq!(p.fetch_addr(a, 2), Addr(0x108));
         assert_eq!(p.code_end(), Addr(0x10c + 8));
-        assert_eq!(p.code_bytes(), 20);
     }
 
     #[test]

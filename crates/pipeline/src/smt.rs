@@ -25,18 +25,6 @@ pub enum SmtPolicy {
 }
 
 impl SmtPolicy {
-    /// The per-thread worst-case slowdown factor w.r.t. running alone on
-    /// the core, if one exists.
-    ///
-    /// `threads` is the number of hardware threads sharing the pipeline.
-    #[must_use]
-    pub fn slowdown_bound(self, threads: u32) -> Option<u32> {
-        match self {
-            SmtPolicy::PredictableRoundRobin => Some(threads.max(1)),
-            SmtPolicy::FreeForAll => None,
-        }
-    }
-
     /// True if a thread's WCET can be computed without knowing the
     /// co-runners (the paper's task-isolation criterion, §3.3).
     #[must_use]
@@ -59,15 +47,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn predictable_bounds_scale_with_threads() {
-        assert_eq!(SmtPolicy::PredictableRoundRobin.slowdown_bound(4), Some(4));
-        assert_eq!(SmtPolicy::PredictableRoundRobin.slowdown_bound(1), Some(1));
-        assert_eq!(SmtPolicy::PredictableRoundRobin.slowdown_bound(0), Some(1));
-    }
-
-    #[test]
     fn free_for_all_has_no_bound() {
-        assert_eq!(SmtPolicy::FreeForAll.slowdown_bound(4), None);
         assert!(!SmtPolicy::FreeForAll.isolates());
         assert!(SmtPolicy::PredictableRoundRobin.isolates());
     }

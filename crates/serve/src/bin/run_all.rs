@@ -3,12 +3,12 @@
 //!
 //! Every pass runs in this process: the 13 experiments of the
 //! [`EXPERIMENTS`] registry (their WCET rows and effort counters land in
-//! `BENCH_results.json`), batch-vs-sequential engine timing, the
-//! warm-vs-cold solver sweep, the example scenario matrix, the streaming
-//! campaign, and the serving and load passes against a live server. It
-//! lives in `wcet-serve` because that crate depends on every layer. A
-//! panicking experiment or serving pass is recorded as failed, the rest
-//! of the suite still runs, and the process exits 1.
+//! `BENCH_results.json`), the warm-vs-cold solver sweep, the example
+//! scenario matrix, the streaming campaign, and the serving and load
+//! passes against a live server. It lives in `wcet-serve` because that
+//! crate depends on every layer. A panicking experiment or serving pass
+//! is recorded as failed, the rest of the suite still runs, and the
+//! process exits 1.
 
 use std::panic::catch_unwind;
 use std::path::PathBuf;
@@ -21,10 +21,10 @@ use wcet_bench::load::load_json;
 use wcet_bench::scenario::{
     parse_matrix, run_campaign, run_campaign_with, run_json, CampaignOptions, CampaignRun,
 };
-use wcet_bench::{comparison_workload, l2_bound_machine, l2_bound_victim, machine};
+use wcet_bench::{l2_bound_machine, l2_bound_victim};
 use wcet_core::analyzer::Analyzer;
-use wcet_core::engine::{AnalysisEngine, Job};
-use wcet_core::mode::{Footprint, Isolated, JointRefs};
+use wcet_core::engine::AnalysisEngine;
+use wcet_core::mode::{Footprint, JointRefs};
 use wcet_ir::synth::{matmul, Placement};
 use wcet_serve::{CellBounds, Client, LoadConfig, Response, ServerConfig};
 
@@ -318,8 +318,9 @@ const SERVE_REQUESTS: usize = 6;
 /// once in-process as the reference, then submitted through a live
 /// server several times — one cold request that fills the hot memo, the
 /// rest riding it. Every served response must be byte-identical to the
-/// in-process run; the block records throughput, the hot-request memo
-/// hit rate, and the cumulative memo/solver view.
+/// in-process run; the block records the cold request's latency, the hot
+/// requests' throughput, the hot-request memo hit rate, and the
+/// cumulative memo/solver view.
 fn serve_bench() -> Json {
     let spec = include_str!("../../../../scenarios/example.scn");
     let matrix = parse_matrix(spec).expect("example parses");
@@ -333,19 +334,30 @@ fn serve_bench() -> Json {
     );
     let expected: Vec<CellBounds> = reference.cells.iter().map(CellBounds::of).collect();
 
-    let handle = wcet_serve::start(&ServerConfig::default()).expect("server starts");
+    // One worker: the pass submits one request at a time, so a second
+    // worker could add no throughput, only a second fresh thread (below).
+    let handle = wcet_serve::start(&ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
     let addr = handle.addr();
 
     let mut identical = true;
     let mut last = None;
-    // The throughput clock starts when the server accepts its first
-    // connection, not at daemon startup, so listener spin-up does not
-    // dilute the steady-state req/s figure.
-    let mut start: Option<Instant> = None;
-    for _ in 0..SERVE_REQUESTS {
+    // The first submission is timed apart (`cold_ms`, connect to decoded
+    // response) and the throughput clock covers only the hot ones. The
+    // first request a fresh server worker thread serves can stall for
+    // tens of milliseconds in its first heap allocations (in about half
+    // of all suite runs), most likely because the allocator hands the
+    // thread an arena left behind by an exited thread of an earlier
+    // pass. Counted in, that stall split `req_per_sec` into two clusters.
+    let mut cold_ms = 0.0;
+    let mut hot_start = Instant::now();
+    for i in 0..SERVE_REQUESTS {
+        let sent = Instant::now();
         // A fresh connection per request, like independent clients.
         let mut client = Client::connect(addr).expect("connects");
-        start.get_or_insert_with(Instant::now);
         match client.submit_matrix(spec) {
             Ok(Response::Bounds(b)) => {
                 identical &= b.cells == expected;
@@ -356,8 +368,12 @@ fn serve_bench() -> Json {
                 panic!("serving pass: submission failed: {other:?}");
             }
         }
+        if i == 0 {
+            cold_ms = sent.elapsed().as_secs_f64() * 1e3;
+            hot_start = Instant::now();
+        }
     }
-    let wall = start.expect("at least one request ran").elapsed();
+    let wall = hot_start.elapsed();
     let mut probe = Client::connect(addr).expect("connects");
     let cumulative = match probe.stats() {
         Ok(Response::Stats(s)) => s,
@@ -379,17 +395,18 @@ fn serve_bench() -> Json {
     } else {
         hot.hits() as f64 / hot.lookups() as f64
     };
+    let hot_requests = SERVE_REQUESTS - 1;
     #[allow(clippy::cast_precision_loss)]
-    let req_per_sec = SERVE_REQUESTS as f64 / wall.as_secs_f64().max(1e-9);
+    let req_per_sec = hot_requests as f64 / wall.as_secs_f64().max(1e-9);
     let total = &last.stats.memo_total;
 
     println!(
-        "serving pass: {SERVE_REQUESTS} submissions of `{}` ({} cells) in {:.2}s \
-         ({req_per_sec:.1} req/s), hot hit rate {:.1}%, {} evictions, \
-         bounds identical to in-process: {identical}",
+        "serving pass: `{}` ({} cells): cold submission {cold_ms:.1} ms, \
+         {hot_requests} hot in {:.1} ms ({req_per_sec:.1} req/s), hot hit rate {:.1}%, \
+         {} evictions, bounds identical to in-process: {identical}",
         last.matrix,
         last.cells.len(),
-        wall.as_secs_f64(),
+        wall.as_secs_f64() * 1e3,
         hot_hit_rate * 100.0,
         total.evictions(),
     );
@@ -398,6 +415,7 @@ fn serve_bench() -> Json {
     Json::obj([
         ("requests", Json::from(SERVE_REQUESTS)),
         ("cells", Json::from(last.cells.len())),
+        ("cold_ms", Json::from(cold_ms)),
         ("wall_ms", Json::from(wall.as_secs_f64() * 1e3)),
         ("req_per_sec", Json::from(req_per_sec)),
         ("hot_hit_rate", Json::from(hot_hit_rate)),
@@ -474,78 +492,6 @@ fn load_bench() -> Json {
     load_json(&stats)
 }
 
-/// Worker threads of the batch pass. Fixed rather than one per CPU, so
-/// the document records the same run on every host.
-const BATCH_WORKERS: usize = 2;
-
-/// Times batch engine analysis of the workload against the same tasks
-/// through sequential `Analyzer` calls, checking result equivalence.
-fn batch_vs_sequential() -> Json {
-    let m = machine(4);
-    let workload = comparison_workload();
-
-    let sequential = Analyzer::new(m.clone());
-    let seq_start = Instant::now();
-    let seq_reports: Vec<_> = workload
-        .iter()
-        .map(|(core, prog)| sequential.wcet_isolated(prog, *core, 0).expect("analyses"))
-        .collect();
-    let seq_ms = seq_start.elapsed().as_secs_f64() * 1e3;
-
-    let engine = AnalysisEngine::new(m).with_threads(BATCH_WORKERS);
-    let batch_start = Instant::now();
-    let jobs: Vec<Job<'_>> = workload
-        .iter()
-        .map(|(core, prog)| Job::new(prog, *core, &Isolated))
-        .collect();
-    let batch_reports = engine.analyze_batch(&jobs);
-    let batch_ms = batch_start.elapsed().as_secs_f64() * 1e3;
-
-    let identical = seq_reports.len() == batch_reports.len()
-        && seq_reports
-            .iter()
-            .zip(&batch_reports)
-            .all(|(seq, batch)| batch.as_ref().map(|b| b == seq).unwrap_or(false));
-    assert!(
-        identical,
-        "engine batch must reproduce sequential results exactly"
-    );
-
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    // On a single CPU the workers take turns on it; the ratio is pure
-    // timer noise, so no speedup is claimed (null).
-    let speedup = (cpus > 1).then(|| seq_ms / batch_ms.max(1e-9));
-    match speedup {
-        Some(s) => {
-            println!(
-                "batch-vs-sequential: {} tasks, {BATCH_WORKERS} workers: sequential \
-                 {seq_ms:.1} ms, batch {batch_ms:.1} ms ({s:.2}× speedup), results identical",
-                jobs.len()
-            );
-            if s <= 1.0 {
-                eprintln!("warning: batch analysis not faster than sequential on this host");
-            }
-        }
-        None => println!(
-            "batch-vs-sequential: {} tasks, {BATCH_WORKERS} workers on 1 CPU: sequential \
-             {seq_ms:.1} ms, batch {batch_ms:.1} ms (no parallelism available — speedup not \
-             claimed), results identical",
-            jobs.len()
-        ),
-    }
-
-    Json::obj([
-        ("tasks", Json::from(jobs.len())),
-        ("workers", Json::from(BATCH_WORKERS)),
-        ("sequential_ms", Json::from(seq_ms)),
-        ("batch_ms", Json::from(batch_ms)),
-        ("speedup", speedup.map_or(Json::Null, Json::from)),
-        ("identical_results", Json::from(identical)),
-        ("solver", engine.solver_stats().to_json()),
-        ("fixpoint", engine.fixpoint_stats().to_json()),
-    ])
-}
-
 /// The suite's failure: the ids of the failed experiments and passes.
 /// Returned from `main`, it is printed and the process exits 1.
 struct Failed(Vec<&'static str>);
@@ -618,8 +564,6 @@ fn main() -> Result<(), Failed> {
         experiments.push(experiment_json(&run, ok, wall_ms));
     }
 
-    println!("===== engine benchmark =====");
-    let comparison = batch_vs_sequential();
     println!("===== solver warm-vs-cold =====");
     let warm_cold = solver_warm_vs_cold();
     println!("===== scenario sweep =====");
@@ -635,15 +579,16 @@ fn main() -> Result<(), Failed> {
         // Schema 13: `scenarios` and every campaign block are one
         // `run_json` document each. Schema 14: every `solver` block
         // counts `cert_factors`. Schema 15: no `solver` block counts
-        // `dual_pivots` or `refactorizations` any more.
-        ("schema", Json::from(15_u64)),
+        // `dual_pivots` or `refactorizations` any more. Schema 16: no
+        // engine batch-timing block; `serve` times its cold submission
+        // apart (`cold_ms`).
+        ("schema", Json::from(16_u64)),
         ("suite", Json::str("wcet-bench run_all")),
         (
             "total_ms",
             Json::from(suite_start.elapsed().as_secs_f64() * 1e3),
         ),
         ("experiments", Json::Arr(experiments)),
-        ("batch_vs_sequential", comparison),
         ("solver_warm_vs_cold", warm_cold),
         ("scenarios", scenarios),
         ("campaign", campaign),

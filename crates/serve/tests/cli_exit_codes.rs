@@ -6,28 +6,29 @@
 //! * `3` — the `--deadline-ms` deadline fired; a `--resume` rerun then
 //!   completes the campaign cleanly.
 
+#[path = "../../bench/tests/temp_dir/mod.rs"]
+mod temp_dir;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use wcet_bench::json::Json;
 
+use temp_dir::TempDir;
+
 const SPEC: &str = "name = cli\ncores = 2\narbiter = [rr, tdma:10]\n\
                     mode = [isolated, joint]\ncycle_limit = [100000, 200000]\n\
                     tasks = \"fir:2x4 crc:16\"\n";
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wcet-cli-exit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
-/// Writes [`SPEC`] to `<test>.scn`, a path of the calling test's own:
-/// the tests run in parallel, and with one shared path a test could
-/// truncate the spec while another test's `wcet` child reads it.
-fn write_spec(dir: &std::path::Path, test: &str) -> PathBuf {
-    let spec = dir.join(format!("{test}.scn"));
+/// Writes [`SPEC`] into a temp dir of the calling test's own: the tests
+/// run in parallel, and with one shared path a test could truncate the
+/// spec while another test's `wcet` child reads it. The dir goes when
+/// the returned guard drops.
+fn write_spec(test: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(&format!("cli-exit-{test}"));
+    let spec = dir.join("spec.scn");
     std::fs::write(&spec, SPEC).expect("writes spec");
-    spec
+    (dir, spec)
 }
 
 fn wcet(args: &[&str]) -> Output {
@@ -43,8 +44,7 @@ fn stderr_of(out: &Output) -> String {
 
 #[test]
 fn clean_streaming_run_exits_zero() {
-    let dir = temp_dir();
-    let spec = write_spec(&dir, "clean_streaming_run_exits_zero");
+    let (_dir, spec) = write_spec("clean_streaming_run_exits_zero");
     let out = wcet(&["scenarios", "run", spec.to_str().expect("utf8")]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 }
@@ -53,8 +53,7 @@ fn clean_streaming_run_exits_zero() {
 /// clean exit, not the everything-failed diagnostic.
 #[test]
 fn limit_zero_produces_nothing_and_exits_zero() {
-    let dir = temp_dir();
-    let spec = write_spec(&dir, "limit_zero_produces_nothing_and_exits_zero");
+    let (_dir, spec) = write_spec("limit_zero_produces_nothing_and_exits_zero");
     let out = wcet(&[
         "scenarios",
         "validate",
@@ -79,11 +78,7 @@ fn limit_zero_produces_nothing_and_exits_zero() {
 /// document's cells as they are: `validate` replays every cell.
 #[test]
 fn validate_with_threads_validates_and_writes_every_cell() {
-    let dir = temp_dir();
-    let spec = write_spec(
-        &dir,
-        "validate_with_threads_validates_and_writes_every_cell",
-    );
+    let (dir, spec) = write_spec("validate_with_threads_validates_and_writes_every_cell");
     let json = dir.join("validate-threads.json");
     let out = wcet(&[
         "scenarios",
@@ -101,7 +96,6 @@ fn validate_with_threads_validates_and_writes_every_cell() {
     let doc = Json::parse(&text).expect("parses");
     let cells = doc.get("cells").and_then(Json::as_arr).map(<[Json]>::len);
     assert_eq!(cells, Some(8), "{text}");
-    let _ = std::fs::remove_file(&json);
 }
 
 #[test]
@@ -113,8 +107,7 @@ fn bad_usage_exits_one() {
 
 #[test]
 fn starved_budgets_exit_two_with_a_summary() {
-    let dir = temp_dir();
-    let spec = write_spec(&dir, "starved_budgets_exit_two_with_a_summary");
+    let (_dir, spec) = write_spec("starved_budgets_exit_two_with_a_summary");
     let out = wcet(&[
         "scenarios",
         "run",
@@ -141,8 +134,7 @@ fn starved_budgets_exit_two_with_a_summary() {
 
 #[test]
 fn strict_escalates_failures_to_one() {
-    let dir = temp_dir();
-    let spec = write_spec(&dir, "strict_escalates_failures_to_one");
+    let (_dir, spec) = write_spec("strict_escalates_failures_to_one");
     let out = wcet(&[
         "scenarios",
         "run",
@@ -158,10 +150,8 @@ fn strict_escalates_failures_to_one() {
 
 #[test]
 fn deadline_exits_three_and_resume_completes() {
-    let dir = temp_dir();
-    let spec = write_spec(&dir, "deadline_exits_three_and_resume_completes");
+    let (dir, spec) = write_spec("deadline_exits_three_and_resume_completes");
     let memo = dir.join("deadline-memo.jsonl");
-    let _ = std::fs::remove_file(&memo);
     let spec_str = spec.to_str().expect("utf8");
     let memo_str = memo.to_str().expect("utf8");
 
@@ -193,5 +183,4 @@ fn deadline_exits_three_and_resume_completes() {
         "stderr: {}",
         stderr_of(&resumed)
     );
-    let _ = std::fs::remove_file(&memo);
 }

@@ -4,9 +4,14 @@
 //! the same file answers with identical bounds and nonzero disk hits —
 //! even when the flush's final line was torn mid-write.
 
+#[path = "../../bench/tests/temp_dir/mod.rs"]
+mod temp_dir;
+
 use std::path::{Path, PathBuf};
 
 use wcet_serve::{BoundsResponse, Client, Response, ServerConfig, ServerHandle};
+
+use temp_dir::TempDir;
 
 /// The small fully-bounded matrix the campaign corruption tests use:
 /// every unique cell gets a bound, so flush arithmetic is exact.
@@ -14,12 +19,12 @@ const SPEC: &str = "name = memo\ncores = 2\narbiter = [rr, tdma:10]\n\
                     mode = [isolated, joint]\ncycle_limit = [100000, 200000]\n\
                     tasks = \"fir:2x4 crc:16\"\n";
 
-fn temp_memo(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wcet-serve-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+/// A memo path in a fresh temp dir of its own; the dir and the memo go
+/// when the returned guard drops.
+fn temp_memo(tag: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new(&format!("serve-{tag}"));
     let path = dir.join("memo.jsonl");
-    let _ = std::fs::remove_file(&path);
-    path
+    (dir, path)
 }
 
 fn server_with_cache(path: &Path) -> ServerHandle {
@@ -40,7 +45,7 @@ fn submit(handle: &ServerHandle) -> BoundsResponse {
 
 #[test]
 fn shutdown_flush_makes_the_restarted_server_disk_warm() {
-    let path = temp_memo("restart");
+    let (_dir, path) = temp_memo("restart");
 
     let first = server_with_cache(&path);
     let cold = submit(&first);
@@ -74,7 +79,7 @@ fn shutdown_flush_makes_the_restarted_server_disk_warm() {
 
 #[test]
 fn programmatic_stop_flushes_like_a_client_shutdown() {
-    let path = temp_memo("sigint");
+    let (_dir, path) = temp_memo("sigint");
 
     let first = server_with_cache(&path);
     let cold = submit(&first);
@@ -91,7 +96,7 @@ fn programmatic_stop_flushes_like_a_client_shutdown() {
 
 #[test]
 fn torn_flush_tail_still_restarts_warm_and_identical() {
-    let path = temp_memo("torn");
+    let (_dir, path) = temp_memo("torn");
 
     let first = server_with_cache(&path);
     let cold = submit(&first);

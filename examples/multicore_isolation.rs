@@ -1,12 +1,12 @@
 //! Task isolation (paper §3.3): a partitioned L2 plus a round-robin bus
 //! make every task's WCET computable with zero knowledge of co-runners —
 //! and the bound survives deliberately hostile ones. All three tasks are
-//! analysed in one parallel engine batch.
+//! analysed through one memoizing engine.
 //!
 //! Run with: `cargo run --example multicore_isolation`
 
 use wcet_toolkit::cache::partition::PartitionPlan;
-use wcet_toolkit::core::engine::{AnalysisEngine, Job};
+use wcet_toolkit::core::engine::AnalysisEngine;
 use wcet_toolkit::core::mode::Isolated;
 use wcet_toolkit::core::report::Table;
 use wcet_toolkit::core::validate::observe;
@@ -26,8 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         synth::crc(48, Placement::slot(0)),
         synth::bsort(10, Placement::slot(0)),
     ];
-    let jobs: Vec<Job<'_>> = tasks.iter().map(|t| Job::new(t, 0, &Isolated)).collect();
-    let reports = engine.analyze_batch(&jobs);
     let hostile = |exclude: usize| {
         (0..4usize)
             .filter(|&c| c != exclude)
@@ -45,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Isolation: WCET computed without knowing co-runners, validated against hostile ones",
         &["task", "isolated WCET", "observed (hostile)", "margin"],
     );
-    for (task, report) in tasks.iter().zip(reports) {
-        let report = report?;
+    for task in &tasks {
+        let report = engine.analyze(task, 0, 0, &Isolated)?;
         let obs = observe(
             &machine,
             (0, 0, task.clone()),

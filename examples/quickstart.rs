@@ -1,10 +1,10 @@
-//! Quickstart: analyse one task on a 4-core machine under two modes in a
-//! single engine batch, and validate the bound against the cycle-level
-//! simulator.
+//! Quickstart: analyse one task on a 4-core machine under two modes
+//! through one memoizing engine, and validate the bound against the
+//! cycle-level simulator.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use wcet_toolkit::core::engine::{AnalysisEngine, Job};
+use wcet_toolkit::core::engine::AnalysisEngine;
 use wcet_toolkit::core::mode::{Isolated, Solo};
 use wcet_toolkit::core::validate::observe;
 use wcet_toolkit::ir::pretty::listing;
@@ -24,13 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    bus, predictable memory controller.
     let machine = MachineConfig::symmetric(4);
 
-    // 3. Static WCET analysis, two modes, one batch call. The engine
-    //    memoizes shared intermediates (here: the per-mode hierarchy
-    //    fixpoints) and fans jobs out across worker threads.
+    // 3. Static WCET analysis, two modes, one engine. The engine
+    //    memoizes shared intermediates (here: the private-L1 fixpoints)
+    //    and warm-starts the second mode's IPET solve from the first.
     let engine = AnalysisEngine::new(machine.clone());
-    let reports = engine.analyze_batch(&[Job::new(&task, 0, &Solo), Job::new(&task, 0, &Isolated)]);
-    let solo = reports[0].as_ref().map_err(Clone::clone)?;
-    let isolated = reports[1].as_ref().map_err(Clone::clone)?;
+    let solo = engine.analyze(&task, 0, 0, &Solo)?;
+    let isolated = engine.analyze(&task, 0, 0, &Isolated)?;
     println!(
         "solo     WCET = {:>8} cycles   (unsafe on shared hardware!)",
         solo.wcet

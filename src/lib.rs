@@ -34,11 +34,12 @@
 //! # }
 //! ```
 //!
-//! For many tasks (or many modes), batch through the memoizing parallel
-//! engine instead — identical reports, one call:
+//! For many tasks (or many modes), analyse through the memoizing engine
+//! instead — identical reports, with every shared fixpoint, cost table
+//! and bound computed once:
 //!
 //! ```
-//! use wcet_toolkit::core::engine::{AnalysisEngine, Job};
+//! use wcet_toolkit::core::engine::AnalysisEngine;
 //! use wcet_toolkit::core::mode::Isolated;
 //! use wcet_toolkit::ir::synth::{fir, matmul, Placement};
 //! use wcet_toolkit::sim::config::MachineConfig;
@@ -46,9 +47,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let engine = AnalysisEngine::new(MachineConfig::symmetric(4));
 //! let (a, b) = (matmul(6, Placement::slot(0)), fir(4, 16, Placement::slot(1)));
-//! let reports = engine.analyze_batch(&[Job::new(&a, 0, &Isolated), Job::new(&b, 1, &Isolated)]);
-//! for report in reports {
-//!     let report = report?;
+//! for (task, core) in [(&a, 0), (&b, 1)] {
+//!     let report = engine.analyze(task, core, 0, &Isolated)?;
 //!     println!("WCET({}) = {} cycles", report.task, report.wcet);
 //! }
 //! # Ok(())
