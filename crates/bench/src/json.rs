@@ -116,6 +116,25 @@ impl Json {
     }
 }
 
+/// Reads the JSON string literal that starts at byte `*pos` of `text`
+/// (which must lie on a char boundary) and moves `*pos` past its
+/// closing quote.
+///
+/// # Errors
+///
+/// Returns a position-annotated message when no well-formed string
+/// literal starts there.
+pub(crate) fn read_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: *pos,
+    };
+    let s = p.string()?;
+    *pos = p.pos;
+    Ok(s)
+}
+
 /// A cursor over the input. `pos` only ever advances over ASCII bytes
 /// or over whole runs that end before one, so it always sits on a char
 /// boundary of `text`.
@@ -316,20 +335,31 @@ impl From<bool> for Json {
     }
 }
 
-fn escape(s: &str, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-    write!(out, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(out, "\\\"")?,
-            '\\' => write!(out, "\\\\")?,
-            '\n' => write!(out, "\\n")?,
-            '\r' => write!(out, "\\r")?,
-            '\t' => write!(out, "\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => write!(out, "{c}")?,
+/// Writes `s` as a JSON string literal: `"`, `\` and the control
+/// characters escaped, everything else verbatim. Each run of characters
+/// that needs no escape is copied with one `write_str`. Every escaped
+/// character is ASCII, so scanning bytes finds exactly those characters
+/// and every run ends on a char boundary.
+pub(crate) fn escape<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    write!(out, "\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -383,6 +413,18 @@ mod tests {
             v.to_string(),
             r#"{"name":"e01 \"solo\"","rows":[null,true],"wall_ms":1.5,"wcet":123}"#
         );
+    }
+
+    #[test]
+    fn escapes_exactly_quote_backslash_and_control_characters() {
+        let text = "a\"b\\c\nd\re\tf\u{1}gé/h";
+        let mut rendered = String::new();
+        escape(text, &mut rendered).expect("a String takes any text");
+        assert_eq!(rendered, r#""a\"b\\c\nd\re\tf\u0001gé/h""#);
+        assert_eq!(Json::str(text).to_string(), rendered);
+        let mut pos = 0;
+        assert_eq!(read_string(&rendered, &mut pos).as_deref(), Ok(text));
+        assert_eq!(pos, rendered.len());
     }
 
     #[test]

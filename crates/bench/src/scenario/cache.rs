@@ -8,27 +8,34 @@
 //!
 //! Format — header first (plain JSON), then one CRC-prefixed JSON
 //! object per line (`crc32(payload)` in lower-case hex, a tab, the
-//! payload):
+//! payload), keys sorted and no whitespace:
 //!
 //! ```text
 //! {"kind":"wcet-campaign-memo","schema":2}
 //! 9f3a01bc<TAB>{"fp":"00ab…32 hex…","rows":[{"core":0,"mode":"isolated","task":"fir4x8","thread":0,"wcet":9444}]}
-//! 51c2e7d0<TAB>{"ckpt":{"matrix":"…32 hex…","produced":1024,"entries":893}}
+//! 51c2e7d0<TAB>{"ckpt":{"entries":893,"matrix":"…32 hex…","produced":1024}}
 //! ```
+//!
+//! The codec writes each line straight into a `String` and reads back
+//! exactly that shape with a byte cursor; JSON strings go through
+//! [`crate::json`]'s escaper and string reader.
 //!
 //! Robustness rules, in order:
 //!
 //! * missing file → empty cache (a cold run);
-//! * unreadable file / wrong `kind` / newer or older `schema` header → the
-//!   whole file is ignored and the first write-back replaces it
-//!   *atomically* (header to a tmp file, then rename — a schema bump or
-//!   a crash mid-rewrite never poisons results, it just recomputes);
+//! * unreadable file / any header line but the one above (wrong `kind`,
+//!   newer or older `schema`) → the whole file is ignored and the first
+//!   write-back replaces it *atomically* (header to a tmp file, then
+//!   rename — a schema bump or a crash mid-rewrite never poisons
+//!   results, it just recomputes);
 //! * an unparseable *line* → that line alone is skipped and counted in
 //!   [`DiskCache::skipped`] (a torn append, e.g. from a killed process,
 //!   or a damaged byte that is not UTF-8 costs one entry, not the
-//!   cache); a torn line that lost its newline is additionally sealed
-//!   with one before the first fresh append, so the remnant never
-//!   splices into a new entry;
+//!   cache). A line counts as unparseable unless it has exactly the
+//!   writer's shape: valid JSON with a space after a colon, or with its
+//!   keys in another order, is skipped too. A torn line that lost its
+//!   newline is additionally sealed with one before the first fresh
+//!   append, so the remnant never splices into a new entry;
 //! * a parseable line whose CRC mismatches → rejected and counted in
 //!   [`DiskCache::crc_rejected`] (silent single-bit corruption is
 //!   observable, not served);
@@ -43,13 +50,13 @@
 //!   rediscover and their messages are not stable schema).
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::json::Json;
+use crate::json::{escape, read_string};
 
 /// On-disk schema version; bump on any layout change.
 pub const CACHE_SCHEMA: u64 = 2;
@@ -105,7 +112,9 @@ struct Writer {
 #[derive(Debug, Default)]
 pub struct DiskCache {
     path: Option<PathBuf>,
-    entries: HashMap<(u64, u64), Vec<CachedRow>>,
+    /// Exact-size row lists: a memo holds 10⁴–10⁵ of them, mostly of
+    /// one or two rows.
+    entries: HashMap<(u64, u64), Box<[CachedRow]>>,
     /// Unparseable lines skipped while loading (torn appends, noise).
     pub skipped: usize,
     /// Parseable lines rejected for a CRC mismatch while loading.
@@ -137,11 +146,7 @@ impl DiskCache {
         let mut lines = byte_lines(&bytes).map(std::str::from_utf8);
         let header_ok = lines
             .next()
-            .and_then(|l| Json::parse(l.ok()?).ok())
-            .is_some_and(|h| {
-                h.get("kind").and_then(Json::as_str) == Some(CACHE_KIND)
-                    && h.get("schema").and_then(Json::as_u64) == Some(CACHE_SCHEMA)
-            });
+            .is_some_and(|l| l.is_ok_and(|l| l == header_line()));
         if !header_ok {
             return cache; // wrong vintage: ignore wholesale, rewrite later
         }
@@ -193,7 +198,7 @@ impl DiskCache {
     /// The cached rows of a cell fingerprint, if any.
     #[must_use]
     pub fn lookup(&self, fp: (u64, u64)) -> Option<&[CachedRow]> {
-        self.entries.get(&fp).map(Vec::as_slice)
+        self.entries.get(&fp).map(|rows| &**rows)
     }
 
     /// The newest trusted checkpoint loaded from disk, if any.
@@ -221,7 +226,8 @@ impl DiskCache {
             if self.entries.contains_key(fp) {
                 continue; // already durable
             }
-            let _ = writeln!(text, "{}", entry_line(*fp, rows));
+            push_line(&mut text, |out| entry_payload(out, *fp, rows));
+            text.push('\n');
             written += 1;
         }
         if written == 0 {
@@ -331,11 +337,7 @@ fn ensure_file<'w>(w: &'w mut Writer, path: &Path) -> std::io::Result<&'w mut Fi
             // between the write and the rename leaves the old file
             // intact, never a half-written header.
             let tmp = path.with_extension("tmp");
-            let header = Json::obj([
-                ("kind", Json::str(CACHE_KIND)),
-                ("schema", Json::from(CACHE_SCHEMA)),
-            ]);
-            std::fs::write(&tmp, format!("{header}\n"))?;
+            std::fs::write(&tmp, format!("{}\n", header_line()))?;
             std::fs::rename(&tmp, path)?;
             w.header_ok = true;
             w.durable_lines = 0;
@@ -395,12 +397,15 @@ fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-fn fingerprint_hex(fp: (u64, u64)) -> String {
-    format!("{:016x}{:016x}", fp.0, fp.1)
+/// The header line (no newline), the only one the reader accepts.
+fn header_line() -> String {
+    format!("{{\"kind\":\"{CACHE_KIND}\",\"schema\":{CACHE_SCHEMA}}}")
 }
 
+/// Parses the 32 lower-case hex digits the writer renders a fingerprint
+/// as.
 fn parse_fingerprint(hex: &str) -> Option<(u64, u64)> {
-    if hex.len() != 32 {
+    if hex.len() != 32 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None;
     }
     Some((
@@ -409,9 +414,40 @@ fn parse_fingerprint(hex: &str) -> Option<(u64, u64)> {
     ))
 }
 
-/// Prefixes `payload` with its CRC: the full on-disk line (sans newline).
-fn crc_line(payload: &str) -> String {
-    format!("{:08x}\t{payload}", crc32(payload.as_bytes()))
+/// Appends one full line (no newline) to `out`: the payload that
+/// `write_payload` appends, prefixed with its CRC and a tab.
+fn push_line(out: &mut String, write_payload: impl FnOnce(&mut String) -> fmt::Result) {
+    let start = out.len();
+    out.push_str("00000000\t");
+    write_payload(out).expect("writing into a String never fails");
+    let crc = crc32(&out.as_bytes()[start + 9..]);
+    out.replace_range(start..start + 8, &format!("{crc:08x}"));
+}
+
+/// Appends a fingerprint as a JSON string of 32 lower-case hex digits.
+fn push_fingerprint(out: &mut String, fp: (u64, u64)) -> fmt::Result {
+    write!(out, "\"{:016x}{:016x}\"", fp.0, fp.1)
+}
+
+/// Appends an entry payload: a JSON object with sorted keys and no
+/// whitespace,
+/// `{"fp":…,"rows":[{"core":…,"mode":…,"task":…,"thread":…,"wcet":…},…]}`.
+fn entry_payload(out: &mut String, fp: (u64, u64), rows: &[CachedRow]) -> fmt::Result {
+    out.push_str("{\"fp\":");
+    push_fingerprint(out, fp)?;
+    out.push_str(",\"rows\":[");
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write!(out, "{{\"core\":{},\"mode\":", row.core)?;
+        escape(&row.mode, out)?;
+        out.push_str(",\"task\":");
+        escape(&row.task, out)?;
+        write!(out, ",\"thread\":{},\"wcet\":{}}}", row.thread, row.wcet)?;
+    }
+    out.push_str("]}");
+    Ok(())
 }
 
 /// Renders one full entry line (CRC prefix included, no newline).
@@ -419,49 +455,33 @@ fn crc_line(payload: &str) -> String {
 #[doc(hidden)]
 #[must_use]
 pub fn entry_line(fp: (u64, u64), rows: &[CachedRow]) -> String {
-    let payload = Json::obj([
-        ("fp", Json::str(fingerprint_hex(fp))),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("task", Json::str(r.task.clone())),
-                            ("core", Json::from(r.core as u64)),
-                            ("thread", Json::from(r.thread as u64)),
-                            ("mode", Json::str(r.mode.clone())),
-                            ("wcet", Json::from(r.wcet)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    crc_line(&payload.to_string())
+    let mut line = String::new();
+    push_line(&mut line, |out| entry_payload(out, fp, rows));
+    line
 }
 
-/// Renders one full checkpoint line (CRC prefix included, no newline).
+/// Renders one full checkpoint line (CRC prefix included, no newline):
+/// `{"ckpt":{"entries":…,"matrix":…,"produced":…}}`.
 /// Exposed for corruption-class tests; not part of the stable API.
 #[doc(hidden)]
 #[must_use]
 pub fn checkpoint_line(matrix: (u64, u64), produced: usize, entries: usize) -> String {
-    let payload = Json::obj([(
-        "ckpt",
-        Json::obj([
-            ("matrix", Json::str(fingerprint_hex(matrix))),
-            ("produced", Json::from(produced as u64)),
-            ("entries", Json::from(entries as u64)),
-        ]),
-    )]);
-    crc_line(&payload.to_string())
+    let mut line = String::new();
+    push_line(&mut line, |out| {
+        write!(out, "{{\"ckpt\":{{\"entries\":{entries},\"matrix\":")?;
+        push_fingerprint(out, matrix)?;
+        write!(out, ",\"produced\":{produced}}}}}")
+    });
+    line
 }
 
+#[derive(Debug, PartialEq, Eq)]
 enum Line {
-    Entry((u64, u64), Vec<CachedRow>),
+    Entry((u64, u64), Box<[CachedRow]>),
     Checkpoint(Checkpoint),
 }
 
+#[derive(Debug, PartialEq, Eq)]
 enum LineError {
     Unparseable,
     CrcMismatch,
@@ -470,30 +490,7 @@ enum LineError {
 fn parse_line(line: &str) -> Result<Line, LineError> {
     let (crc_hex, payload) = line.split_once('\t').ok_or(LineError::Unparseable)?;
     let expected = u32::from_str_radix(crc_hex, 16).map_err(|_| LineError::Unparseable)?;
-    let value = Json::parse(payload).map_err(|_| LineError::Unparseable)?;
-    let parsed = if let Some(c) = value.get("ckpt") {
-        let ckpt = Checkpoint {
-            matrix: c
-                .get("matrix")
-                .and_then(Json::as_str)
-                .and_then(parse_fingerprint)
-                .ok_or(LineError::Unparseable)?,
-            produced: c
-                .get("produced")
-                .and_then(Json::as_u64)
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or(LineError::Unparseable)?,
-            entries: c
-                .get("entries")
-                .and_then(Json::as_u64)
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or(LineError::Unparseable)?,
-        };
-        Line::Checkpoint(ckpt)
-    } else {
-        let (fp, rows) = parse_entry(&value).ok_or(LineError::Unparseable)?;
-        Line::Entry(fp, rows)
-    };
+    let parsed = parse_payload(payload).ok_or(LineError::Unparseable)?;
     // The CRC verdict comes last: an unparseable payload is "torn", a
     // parseable one with a bad sum is "corrupt" — distinct counters.
     if crc32(payload.as_bytes()) != expected {
@@ -502,23 +499,111 @@ fn parse_line(line: &str) -> Result<Line, LineError> {
     Ok(parsed)
 }
 
-fn parse_entry(value: &Json) -> Option<((u64, u64), Vec<CachedRow>)> {
-    let fp = parse_fingerprint(value.get("fp")?.as_str()?)?;
-    let rows = value
-        .get("rows")?
-        .as_arr()?
-        .iter()
-        .map(|r| {
-            Some(CachedRow {
-                task: r.get("task")?.as_str()?.to_string(),
-                core: usize::try_from(r.get("core")?.as_u64()?).ok()?,
-                thread: usize::try_from(r.get("thread")?.as_u64()?).ok()?,
-                mode: r.get("mode")?.as_str()?.to_string(),
-                wcet: r.get("wcet")?.as_u64()?,
-            })
+/// Reads exactly the payload shapes [`entry_line`] and
+/// [`checkpoint_line`] write; any other text, valid JSON or not, is
+/// `None`.
+fn parse_payload(payload: &str) -> Option<Line> {
+    let mut c = Cursor {
+        text: payload,
+        pos: 0,
+    };
+    let line = if c.eat("{\"ckpt\":{\"entries\":") {
+        let entries = c.usize()?;
+        c.expect(",\"matrix\":")?;
+        let matrix = c.fingerprint()?;
+        c.expect(",\"produced\":")?;
+        let produced = c.usize()?;
+        c.expect("}}")?;
+        Line::Checkpoint(Checkpoint {
+            matrix,
+            produced,
+            entries,
         })
-        .collect::<Option<Vec<CachedRow>>>()?;
-    Some((fp, rows))
+    } else {
+        c.expect("{\"fp\":")?;
+        let fp = c.fingerprint()?;
+        c.expect(",\"rows\":[")?;
+        let mut rows = Vec::new();
+        if !c.eat("]") {
+            loop {
+                c.expect("{\"core\":")?;
+                let core = c.usize()?;
+                c.expect(",\"mode\":")?;
+                let mode = c.string()?;
+                c.expect(",\"task\":")?;
+                let task = c.string()?;
+                c.expect(",\"thread\":")?;
+                let thread = c.usize()?;
+                c.expect(",\"wcet\":")?;
+                let wcet = c.u64()?;
+                c.expect("}")?;
+                rows.push(CachedRow {
+                    task,
+                    core,
+                    thread,
+                    mode,
+                    wcet,
+                });
+                if !c.eat(",") {
+                    c.expect("]")?;
+                    break;
+                }
+            }
+        }
+        c.expect("}")?;
+        Line::Entry(fp, rows.into_boxed_slice())
+    };
+    (c.pos == payload.len()).then_some(line)
+}
+
+/// A byte cursor over one payload. It only ever advances over ASCII
+/// bytes or whole string literals, so `pos` stays on a char boundary.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    /// Consumes `lit` if the text continues with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let found = self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if found {
+            self.pos += lit.len();
+        }
+        found
+    }
+
+    fn expect(&mut self, lit: &str) -> Option<()> {
+        self.eat(lit).then_some(())
+    }
+
+    /// A decimal number that fits a `u64`.
+    fn u64(&mut self) -> Option<u64> {
+        let digits = self.text.as_bytes()[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let n = self.text[self.pos..self.pos + digits].parse().ok()?;
+        self.pos += digits;
+        Some(n)
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
+    }
+
+    /// A JSON string, through the one string reader [`crate::json`] has.
+    fn string(&mut self) -> Option<String> {
+        read_string(self.text, &mut self.pos).ok()
+    }
+
+    fn fingerprint(&mut self) -> Option<(u64, u64)> {
+        self.expect("\"")?;
+        let fp = parse_fingerprint(self.text.get(self.pos..self.pos + 32)?)?;
+        self.pos += 32;
+        self.expect("\"")?;
+        Some(fp)
+    }
 }
 
 /// The integration tests' self-removing temp dir, for the tests below.
@@ -530,6 +615,8 @@ mod temp_dir;
 mod tests {
     use super::temp_dir::TempDir;
     use super::*;
+    use crate::json::Json;
+    use proptest::prelude::*;
 
     fn row(task: &str, wcet: u64) -> CachedRow {
         CachedRow {
@@ -673,6 +760,130 @@ mod tests {
         );
         // A later run over the complete memo must not advance it.
         assert!(!warm.write_checkpoint((7, 8), 200).expect("ok"));
+    }
+
+    /// A full line around `payload`, its CRC correct.
+    fn line_of(payload: &str) -> String {
+        format!("{:08x}\t{payload}", crc32(payload.as_bytes()))
+    }
+
+    fn hex(fp: (u64, u64)) -> Json {
+        Json::str(format!("{:016x}{:016x}", fp.0, fp.1))
+    }
+
+    /// The `Json`-tree rendering of an entry line: the test oracle the
+    /// direct writer must match byte for byte.
+    fn oracle_entry_line(fp: (u64, u64), rows: &[CachedRow]) -> String {
+        let rows = rows
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("task", Json::str(r.task.clone())),
+                    ("core", Json::from(r.core)),
+                    ("thread", Json::from(r.thread)),
+                    ("mode", Json::str(r.mode.clone())),
+                    ("wcet", Json::from(r.wcet)),
+                ])
+            })
+            .collect();
+        line_of(&Json::obj([("fp", hex(fp)), ("rows", Json::Arr(rows))]).to_string())
+    }
+
+    /// The `Json`-tree rendering of a checkpoint line.
+    fn oracle_checkpoint_line(matrix: (u64, u64), produced: usize, entries: usize) -> String {
+        let ckpt = Json::obj([
+            ("matrix", hex(matrix)),
+            ("produced", Json::from(produced)),
+            ("entries", Json::from(entries)),
+        ]);
+        line_of(&Json::obj([("ckpt", ckpt)]).to_string())
+    }
+
+    /// One character of every class the string escaper treats apart.
+    const CHARS: [char; 9] = ['a', '"', '\\', '\n', '\r', '\t', '\u{1}', 'é', '/'];
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..CHARS.len(), 0..6)
+            .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect())
+    }
+
+    /// Any `u64`, with 0 and `u64::MAX` drawn often.
+    fn number() -> impl Strategy<Value = u64> {
+        (0u8..4, 0u64..=u64::MAX).prop_map(|(pick, n)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            _ => n,
+        })
+    }
+
+    fn index() -> impl Strategy<Value = usize> {
+        number().prop_map(|n| usize::try_from(n).expect("a 64-bit target"))
+    }
+
+    proptest! {
+        #[test]
+        fn the_direct_codec_writes_the_json_tree_rendering_and_reads_it_back(
+            fp in (number(), number()),
+            rows in proptest::collection::vec(
+                (text(), index(), index(), text(), number()),
+                0..4,
+            ),
+            ckpt in ((number(), number()), index(), index()),
+        ) {
+            let rows: Vec<CachedRow> = rows
+                .into_iter()
+                .map(|(task, core, thread, mode, wcet)| CachedRow {
+                    task,
+                    core,
+                    thread,
+                    mode,
+                    wcet,
+                })
+                .collect();
+            let line = entry_line(fp, &rows);
+            prop_assert_eq!(&line, &oracle_entry_line(fp, &rows));
+            prop_assert_eq!(parse_line(&line), Ok(Line::Entry(fp, rows.into_boxed_slice())));
+            let (matrix, produced, entries) = ckpt;
+            let line = checkpoint_line(matrix, produced, entries);
+            prop_assert_eq!(&line, &oracle_checkpoint_line(matrix, produced, entries));
+            prop_assert_eq!(
+                parse_line(&line),
+                Ok(Line::Checkpoint(Checkpoint {
+                    matrix,
+                    produced,
+                    entries,
+                }))
+            );
+        }
+    }
+
+    #[test]
+    fn valid_json_in_any_other_shape_is_skipped_not_served() {
+        let dir = TempDir::new("cache-test-shape");
+        let path = dir.join("memo.jsonl");
+        DiskCache::open(&path)
+            .append(&[((1, 2), vec![row("fir", 10)])])
+            .expect("writes");
+        // Two reshapings of the payload the writer gives entry (5, 6).
+        let line = entry_line((5, 6), &[row("fir", 7)]);
+        let payload = line.split_once('\t').expect("CRC prefix").1;
+        let spaced = payload.replacen(':', ": ", 1);
+        let unsorted = payload.replace(
+            r#""mode":"isolated","task":"fir""#,
+            r#""task":"fir","mode":"isolated""#,
+        );
+        assert_ne!(unsorted, payload);
+        let mut text = std::fs::read_to_string(&path).expect("reads");
+        for payload in [&spaced, &unsorted] {
+            assert!(Json::parse(payload).is_ok(), "valid JSON: {payload}");
+            text.push_str(&line_of(payload));
+            text.push('\n');
+        }
+        std::fs::write(&path, text).expect("writes");
+        let warm = DiskCache::open(&path);
+        assert_eq!((warm.len(), warm.skipped, warm.crc_rejected), (1, 2, 0));
+        assert_eq!(warm.lookup((5, 6)), None);
+        assert!(warm.lookup((1, 2)).is_some());
     }
 
     #[test]

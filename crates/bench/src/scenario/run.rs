@@ -255,21 +255,13 @@ pub(crate) fn build_with_programs(
     })
 }
 
-/// The leading fields of a buildable cell's deduplication fingerprint,
-/// hashed once per build: the machine description and the placement.
-/// [`cell_fingerprint`] completes it per cell.
-pub(crate) fn build_fingerprint_prefix(built: &BuiltScenario) -> TupleFingerprint {
-    TupleFingerprint::new()
-        .field(&built.machine)
-        .field(&built.placement)
-}
-
 /// The deduplication fingerprint of a buildable cell:
 /// `debug_fingerprint(&(&machine, &placement, mode label, analyze,
-/// task_fps, cycle_limit))`, computed from its build's
-/// [`build_fingerprint_prefix`]. The mode label carries the mode
-/// parameters; the per-task content fingerprints are supplied by the
-/// caller, which caches them per task-set axis value.
+/// task_fps, cycle_limit))`, computed from `prefix`, the build's
+/// `(machine, placement, ` fed once per build by the runner's producer.
+/// The mode label carries the mode parameters; the per-task content
+/// fingerprints are supplied by the caller, which caches them per
+/// task-set axis value.
 pub(crate) fn cell_fingerprint(
     prefix: &TupleFingerprint,
     scn: &Scenario,

@@ -37,7 +37,10 @@
 //!   every hierarchy probe. Chunk boundaries reset the chain (the
 //!   predecessor may live on another worker).
 //! * **Disk memo** — fingerprints resolved by [`DiskCache`] skip
-//!   analysis entirely. A memo the run opens itself
+//!   analysis entirely. The worker probes the memo as it takes up the
+//!   cell, off the producer's lock; the loaded entries never change
+//!   during a run, so the answer is the one the producer would have
+//!   got. A memo the run opens itself
 //!   ([`CampaignOptions::cache`]) also takes every fresh fully-bounded
 //!   cell as its chunk is sequenced (see [`super::cache`] for the format
 //!   and corruption rules), so a killed campaign loses at most the
@@ -81,9 +84,9 @@ use wcet_sim::machine::SkipStats;
 use super::cache::{CachedRow, DiskCache};
 use super::fault::FaultPlan;
 use super::run::{
-    analyze_engine_incremental, analyze_static, build_fingerprint_prefix, build_with_programs,
-    cell_fingerprint, fingerprint_unbuildable, parse_programs, validate_cell, BuiltScenario,
-    CellArtifacts, CellFailure, CellOutcome, FailureKind, TaskBound, TaskRow,
+    analyze_engine_incremental, analyze_static, build_with_programs, cell_fingerprint,
+    fingerprint_unbuildable, parse_programs, validate_cell, BuiltScenario, CellArtifacts,
+    CellFailure, CellOutcome, FailureKind, TaskBound, TaskRow,
 };
 use super::spec::{
     Scenario, ScenarioMatrix, AXES_BUS_ONLY, AXIS_ANALYZE, AXIS_ARBITER, AXIS_CORES,
@@ -345,7 +348,8 @@ impl GrayOdometer {
     }
 }
 
-/// One deduplicated cell, ready for a worker.
+/// One deduplicated cell, ready for a worker (which probes the disk
+/// memo for it).
 struct WorkItem {
     scenario: Scenario,
     built: Result<Arc<BuiltScenario>, String>,
@@ -356,8 +360,6 @@ struct WorkItem {
     /// Axes changed since the previous item of the same chunk
     /// (accumulated over dedup-skips); [`MASK_ALL`] at chunk start.
     changed: u16,
-    /// Disk-memo rows, when the fingerprint was already durable.
-    cached: Option<Vec<CachedRow>>,
     /// Replay this cell on the simulator.
     sample: bool,
     /// Lexicographic rank (the fault plan's and sampler's cell key).
@@ -378,7 +380,8 @@ struct CachedBuild {
     built: Result<Arc<BuiltScenario>, String>,
     /// `debug_fingerprint` of the machine (zero when unbuildable).
     machine_fp: (u64, u64),
-    /// The build's hashed [`build_fingerprint_prefix`], when buildable.
+    /// The build's hashed `(machine, placement, ` prefix of
+    /// [`cell_fingerprint`], when buildable.
     prefix: Option<TupleFingerprint>,
 }
 
@@ -392,7 +395,7 @@ type Visited = (
 );
 
 /// The sequential chunk producer behind a mutex: odometer + build cache
-/// + fingerprint dedup + disk-memo probe.
+/// + fingerprint dedup. The disk-memo probe runs in the workers.
 struct Producer<'m> {
     matrix: &'m ScenarioMatrix,
     odo: GrayOdometer,
@@ -412,7 +415,6 @@ struct Producer<'m> {
     next_chunk: usize,
     sample_one_in: u64,
     seed: u64,
-    cache: Arc<DiskCache>,
     deadline: Option<Instant>,
     deadline_hit: bool,
     resumed: usize,
@@ -422,7 +424,7 @@ impl<'m> Producer<'m> {
     fn new(
         matrix: &'m ScenarioMatrix,
         opts: &CampaignOptions,
-        cache: Arc<DiskCache>,
+        cache: &DiskCache,
         matrix_fp: (u64, u64),
     ) -> Self {
         let mut producer = Producer {
@@ -442,10 +444,9 @@ impl<'m> Producer<'m> {
             deadline: opts.deadline.map(|d| Instant::now() + d),
             deadline_hit: false,
             resumed: 0,
-            cache,
         };
         if opts.resume {
-            if let Some(ckpt) = producer.cache.checkpoint() {
+            if let Some(ckpt) = cache.checkpoint() {
                 if ckpt.matrix == matrix_fp {
                     producer.fast_forward(ckpt.produced);
                 }
@@ -518,7 +519,8 @@ impl<'m> Producer<'m> {
 
     /// The build of the cell at `digits`: the previous one when only
     /// axes it does not read moved (most steps: cycle_limit, mode,
-    /// analyze), otherwise a fresh build with its fingerprint prefix.
+    /// analyze), otherwise a fresh build with its fingerprint prefix
+    /// and machine fingerprint, both from one rendering of the machine.
     fn build(
         &mut self,
         digits: &[usize; NUM_AXES],
@@ -532,10 +534,11 @@ impl<'m> Producer<'m> {
                 Err(e) => Err(e.clone()),
             };
             let (machine_fp, prefix) = match &built {
-                Ok(b) => (
-                    debug_fingerprint(&b.machine),
-                    Some(build_fingerprint_prefix(b)),
-                ),
+                Ok(b) => {
+                    let (prefix, machine_fp) =
+                        TupleFingerprint::new().field_and_fingerprint(&b.machine);
+                    (machine_fp, Some(prefix.field(&b.placement)))
+                }
                 Err(_) => ((0, 0), None),
             };
             self.last_build = Some(CachedBuild {
@@ -580,7 +583,6 @@ impl<'m> Producer<'m> {
             let Some((scenario, built, machine_fp, fingerprint)) = self.visit(&digits) else {
                 continue;
             };
-            let cached = self.cache.lookup(fingerprint).map(<[CachedRow]>::to_vec);
             let rank = self.matrix.lex_rank(&digits) as u64;
             let sample = self.sample_one_in > 0
                 && splitmix64(self.seed ^ rank).is_multiple_of(self.sample_one_in);
@@ -590,7 +592,6 @@ impl<'m> Producer<'m> {
                 machine_fp,
                 fingerprint,
                 changed: std::mem::replace(&mut self.pending, 0),
-                cached,
                 sample,
                 rank,
             });
@@ -741,6 +742,8 @@ fn violates(outcome: &CellOutcome) -> bool {
 
 /// What every worker of one run shares.
 struct Shared {
+    /// The run's disk memo, probed for every buildable cell.
+    disk: Arc<DiskCache>,
     memo: Arc<MemoDomain>,
     ctx: Arc<SolveContext>,
     ipet: IpetOptions,
@@ -772,6 +775,7 @@ pub fn run_campaign_with(
         (None, None) => Arc::new(DiskCache::disabled()),
     };
     let shared = Shared {
+        disk: cache,
         memo: opts
             .memo
             .clone()
@@ -798,14 +802,14 @@ pub fn run_campaign_with(
         (0, 0)
     };
     install_supervised_panic_hook();
-    let producer = Mutex::new(Producer::new(matrix, opts, Arc::clone(&cache), matrix_fp));
+    let producer = Mutex::new(Producer::new(matrix, opts, &shared.disk, matrix_fp));
     let sink = Mutex::new(Sink {
         next: 0,
         staged: BTreeMap::new(),
         on_cell: Box::new(on_cell),
         keep_cells: opts.keep_cells,
         cells: Vec::new(),
-        write_back: shared.write_back.then(|| Arc::clone(&cache)),
+        write_back: shared.write_back.then(|| Arc::clone(&shared.disk)),
         matrix_fp,
         fault: shared.fault,
         chunks_since_ckpt: 0,
@@ -889,8 +893,8 @@ pub fn run_campaign_with(
         rows_reused: sink.rows_reused,
         disk_hits: sink.disk_hits,
         disk_appended: sink.disk_appended,
-        disk_skipped: cache.skipped,
-        disk_crc_rejected: cache.crc_rejected,
+        disk_skipped: shared.disk.skipped,
+        disk_crc_rejected: shared.disk.crc_rejected,
         cache_error: sink.cache_error,
         failures: sink.failures,
         retries: sink.retries,
@@ -1002,7 +1006,8 @@ fn analyze_cell(
     let _lp_budget = wcet_ilp::budget::BudgetScope::arm(budget.max_pivots, wall);
 
     let scn = &item.scenario;
-    let (rows, arts, disk_hit, rows_reused) = if let Some(cached) = &item.cached {
+    let cached = shared.disk.lookup(item.fingerprint);
+    let (rows, arts, disk_hit, rows_reused) = if let Some(cached) = cached {
         // Disk memo: rows are prefabricated (bounds only, no report).
         // The analysis chain breaks here — artifacts were never
         // computed — but row reuse stays valid.

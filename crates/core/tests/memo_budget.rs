@@ -6,7 +6,9 @@
 //! * a re-miss after eviction recomputes a bit-identical report (every
 //!   memo key is deterministic), only the hit/miss/eviction bill moves;
 //! * the per-table eviction counters stay consistent with the miss
-//!   counters and the resident-entry count.
+//!   counters and the resident-entry count;
+//! * engines on four threads contending for one budgeted domain keep
+//!   every bound, the cap and that accounting.
 
 use std::sync::Arc;
 
@@ -121,4 +123,48 @@ fn eviction_counters_match_misses_minus_residents() {
             + stats.bound_evictions
     );
     assert_eq!(memo.entries(), 4);
+}
+
+#[test]
+fn eviction_under_contention_keeps_bounds_and_the_cap() {
+    let tasks = tasks();
+    let unbounded = engine_with(&Arc::new(MemoDomain::new()));
+    let reference: Vec<_> = tasks
+        .iter()
+        .map(|t| unbounded.analyze(t, 0, 0, &Isolated).expect("analyses"))
+        .collect();
+    let memo = Arc::new(MemoDomain::with_budget(2));
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for thread in 0..4 {
+            let (memo, start, tasks, reference) = (&memo, &start, &tasks, &reference);
+            scope.spawn(move || {
+                // Each thread has its own engine over the one shared domain.
+                let engine = engine_with(memo);
+                start.wait();
+                for round in 0..24 {
+                    for k in 0..tasks.len() {
+                        let i = (thread + round + k) % tasks.len();
+                        let report = engine
+                            .analyze(&tasks[i], 0, 0, &Isolated)
+                            .expect("analyses");
+                        assert_eq!(report, reference[i], "task {i}, round {round}");
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        memo.entries() <= 8,
+        "four tables capped at two entries each"
+    );
+    let stats = memo.stats();
+    let misses = stats.hierarchy_misses + stats.l1_misses + stats.cost_misses + stats.bound_misses;
+    // A racing insert of a key another thread already inserted counts a
+    // miss but adds no entry, so this is a bound, not an equality.
+    assert!(stats.evictions() + memo.entries() as u64 <= misses);
+    assert!(
+        stats.evictions() > 0,
+        "three tasks under a cap of two evict"
+    );
 }

@@ -27,7 +27,8 @@
 //! tuple, and let a prefix shared by many tuples be hashed once and
 //! cloned. The scenario producer hashes each build's
 //! `(machine, placement, ` once and only the short per-cell tail after
-//! it.
+//! it; [`TupleFingerprint::field_and_fingerprint`] takes the machine's
+//! own fingerprint (the engine key) from the same rendering.
 //!
 //! A [`Program`] carries its own fingerprint once computed, so the
 //! multi-kilobyte program rendering happens once per program, not once
@@ -68,11 +69,7 @@ impl Digests {
     /// Hashing one buffered rendering twice is ~30% cheaper than
     /// streaming the rendering's many small writes into both digests.
     fn write_debug<T: fmt::Debug + ?Sized>(&mut self, value: &T) {
-        let mut text = RENDER.take();
-        text.clear();
-        write!(text, "{value:?}").expect("rendering into a String never fails");
-        self.write_str(&text);
-        RENDER.set(text);
+        with_rendering(value, |text| self.write_str(text));
     }
 
     fn write_str(&mut self, s: &str) {
@@ -83,6 +80,17 @@ impl Digests {
     fn finish(&self) -> (u64, u64) {
         (self.h1.finish(), self.h2.finish())
     }
+}
+
+/// Renders `value` into the thread's reused buffer and hands the text
+/// to `use_text`.
+fn with_rendering<T: fmt::Debug + ?Sized, R>(value: &T, use_text: impl FnOnce(&str) -> R) -> R {
+    let mut text = RENDER.take();
+    text.clear();
+    write!(text, "{value:?}").expect("rendering into a String never fails");
+    let result = use_text(&text);
+    RENDER.set(text);
+    result
 }
 
 /// 128-bit structural fingerprint of any `Debug`-rendered value.
@@ -96,10 +104,10 @@ pub fn debug_fingerprint<T: fmt::Debug + ?Sized>(value: &T) -> (u64, u64) {
 /// 128-bit structural fingerprint of a program (name + full content), so
 /// memo entries never alias distinct tasks that happen to share a name.
 /// Computed on the first call and cached inside the program; clones
-/// carry the cached value.
+/// share the cache.
 #[must_use]
 pub fn program_fingerprint(program: &Program) -> (u64, u64) {
-    *program.fingerprint.get_or_init(|| {
+    *program.fingerprint_cache().get_or_init(|| {
         let mut digests = Digests::new();
         program.name().hash(&mut digests.h1);
         program.name().hash(&mut digests.h2);
@@ -130,12 +138,35 @@ impl TupleFingerprint {
     /// Appends the next field.
     #[must_use]
     pub fn field<T: fmt::Debug + ?Sized>(mut self, value: &T) -> TupleFingerprint {
+        self.separate();
+        self.digests.write_debug(value);
+        self
+    }
+
+    /// Appends the next field and also returns the field's own
+    /// fingerprint, `debug_fingerprint(value)`, from the same single
+    /// rendering.
+    #[must_use]
+    pub fn field_and_fingerprint<T: fmt::Debug + ?Sized>(
+        mut self,
+        value: &T,
+    ) -> (TupleFingerprint, (u64, u64)) {
+        self.separate();
+        let own = with_rendering(value, |text| {
+            self.digests.write_str(text);
+            let mut own = Digests::new();
+            own.write_str(text);
+            own.finish()
+        });
+        (self, own)
+    }
+
+    /// Hashes the separator before a field after the first.
+    fn separate(&mut self) {
         if self.fields > 0 {
             self.digests.write_str(", ");
         }
-        self.digests.write_debug(value);
         self.fields += 1;
-        self
     }
 
     /// Closes the tuple and returns its fingerprint.
@@ -246,6 +277,14 @@ mod tests {
                 .iter()
                 .fold(prefix.clone(), |t, v| t.field(v));
             prop_assert_eq!(tail.finish(), whole);
+            // The same split, its next field fed together with that
+            // field's own fingerprint.
+            if let Some(&next) = fields.get(split) {
+                let (fed, own) = prefix.field_and_fingerprint(next);
+                prop_assert_eq!(own, debug_fingerprint(next));
+                let tail = fields[split + 1..].iter().fold(fed, |t, v| t.field(v));
+                prop_assert_eq!(tail.finish(), whole);
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! disjoint code/data bases for co-scheduled programs.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::cfg::{BlockId, Cfg};
 use crate::flow::{FlowError, FlowFacts};
@@ -162,8 +162,18 @@ impl From<FlowError> for ProgramError {
 
 /// A complete analysable program: CFG + loops + flow facts + layout +
 /// initial machine state.
+///
+/// The content lives in one shared [`Arc`], so a clone is a reference
+/// count bump and clones share the fingerprint cache. The consuming
+/// `with_*` builders copy the content first when it is shared.
 #[derive(Clone)]
 pub struct Program {
+    body: Arc<Body>,
+}
+
+/// The shared content of a [`Program`].
+#[derive(Clone)]
+struct Body {
     name: String,
     cfg: Cfg,
     loops: LoopForest,
@@ -176,14 +186,14 @@ pub struct Program {
     /// [`crate::fingerprint::program_fingerprint`], once computed. The
     /// content never changes after construction except through the
     /// consuming `with_*` builders, which reset it.
-    pub(crate) fingerprint: OnceLock<(u64, u64)>,
+    fingerprint: OnceLock<(u64, u64)>,
 }
 
 /// Exactly the derived rendering of the content fields: fingerprints
 /// hash this text, so the cache stays out of it.
 impl fmt::Debug for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Program {
+        let Body {
             name,
             cfg,
             loops,
@@ -194,7 +204,7 @@ impl fmt::Debug for Program {
             init_regs,
             init_mem,
             fingerprint: _,
-        } = self;
+        } = &*self.body;
         f.debug_struct("Program")
             .field("name", name)
             .field("cfg", cfg)
@@ -212,7 +222,7 @@ impl fmt::Debug for Program {
 /// Content equality: a filled fingerprint cache changes nothing.
 impl PartialEq for Program {
     fn eq(&self, other: &Program) -> bool {
-        let Program {
+        let Body {
             name,
             cfg,
             loops,
@@ -223,7 +233,8 @@ impl PartialEq for Program {
             init_regs,
             init_mem,
             fingerprint: _,
-        } = self;
+        } = &*self.body;
+        let other = &*other.body;
         *name == other.name
             && *cfg == other.cfg
             && *loops == other.loops
@@ -271,89 +282,101 @@ impl Program {
             cursor = cursor.offset(blk.fetch_slots() as u64 * INSTR_BYTES);
         }
         Ok(Program {
-            name: name.into(),
-            cfg,
-            loops,
-            flow,
-            layout,
-            block_addrs,
-            data_regions: Vec::new(),
-            init_regs: [0; NUM_REGS],
-            init_mem: Vec::new(),
-            fingerprint: OnceLock::new(),
+            body: Arc::new(Body {
+                name: name.into(),
+                cfg,
+                loops,
+                flow,
+                layout,
+                block_addrs,
+                data_regions: Vec::new(),
+                init_regs: [0; NUM_REGS],
+                init_mem: Vec::new(),
+                fingerprint: OnceLock::new(),
+            }),
         })
+    }
+
+    /// The content for a builder to change: copied first when shared
+    /// (copy on write), with the fingerprint cache reset.
+    fn edit(&mut self) -> &mut Body {
+        let body = Arc::make_mut(&mut self.body);
+        body.fingerprint.take();
+        body
     }
 
     /// Adds a named data region (builder-style).
     #[must_use]
     pub fn with_data_region(mut self, region: DataRegion) -> Program {
-        self.data_regions.push(region);
-        self.fingerprint.take();
+        self.edit().data_regions.push(region);
         self
     }
 
     /// Sets an initial register value (builder-style).
     #[must_use]
     pub fn with_init_reg(mut self, reg: crate::isa::Reg, value: i64) -> Program {
-        self.init_regs[reg.index()] = value;
-        self.fingerprint.take();
+        self.edit().init_regs[reg.index()] = value;
         self
     }
 
     /// Sets an initial memory word (builder-style).
     #[must_use]
     pub fn with_init_mem(mut self, addr: Addr, value: i64) -> Program {
-        self.init_mem.push((addr, value));
-        self.fingerprint.take();
+        self.edit().init_mem.push((addr, value));
         self
+    }
+
+    /// The fingerprint cache shared by this program and its clones.
+    pub(crate) fn fingerprint_cache(&self) -> &OnceLock<(u64, u64)> {
+        &self.body.fingerprint
     }
 
     /// Program name.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// The control-flow graph.
     #[must_use]
     pub fn cfg(&self) -> &Cfg {
-        &self.cfg
+        &self.body.cfg
     }
 
     /// The loop forest.
     #[must_use]
     pub fn loops(&self) -> &LoopForest {
-        &self.loops
+        &self.body.loops
     }
 
     /// The flow facts.
     #[must_use]
     pub fn flow(&self) -> &FlowFacts {
-        &self.flow
+        &self.body.flow
     }
 
     /// The code layout.
     #[must_use]
     pub fn layout(&self) -> Layout {
-        self.layout
+        self.body.layout
     }
 
     /// Declared data regions.
     #[must_use]
     pub fn data_regions(&self) -> &[DataRegion] {
-        &self.data_regions
+        &self.body.data_regions
     }
 
     /// Initial register file.
     #[must_use]
     pub fn init_regs(&self) -> &[i64; NUM_REGS] {
-        &self.init_regs
+        &self.body.init_regs
     }
 
     /// Initial memory contents, as `(address, value)` words.
     #[must_use]
     pub fn init_mem(&self) -> &[(Addr, i64)] {
-        &self.init_mem
+        &self.body.init_mem
     }
 
     /// Start address of a block's first instruction slot.
@@ -363,7 +386,7 @@ impl Program {
     /// Panics if `block` is out of range.
     #[must_use]
     pub fn block_addr(&self, block: BlockId) -> Addr {
-        self.block_addrs[block.index()]
+        self.body.block_addrs[block.index()]
     }
 
     /// Fetch address of instruction slot `slot` of `block` (the terminator
@@ -375,18 +398,18 @@ impl Program {
     #[must_use]
     pub fn fetch_addr(&self, block: BlockId, slot: usize) -> Addr {
         assert!(
-            slot < self.cfg.block(block).fetch_slots(),
+            slot < self.body.cfg.block(block).fetch_slots(),
             "slot out of range"
         );
-        self.block_addrs[block.index()].offset(slot as u64 * INSTR_BYTES)
+        self.body.block_addrs[block.index()].offset(slot as u64 * INSTR_BYTES)
     }
 
     /// One byte past the end of the code.
     #[must_use]
     pub fn code_end(&self) -> Addr {
-        let last = BlockId::from_index(self.cfg.num_blocks() - 1);
-        self.block_addrs[last.index()]
-            .offset(self.cfg.block(last).fetch_slots() as u64 * INSTR_BYTES)
+        let last = BlockId::from_index(self.body.cfg.num_blocks() - 1);
+        self.body.block_addrs[last.index()]
+            .offset(self.body.cfg.block(last).fetch_slots() as u64 * INSTR_BYTES)
     }
 
     /// All memory access sites of `block` in program order: one `Fetch` per
@@ -394,7 +417,7 @@ impl Program {
     /// the fetch of their instruction.
     #[must_use]
     pub fn accesses(&self, block: BlockId) -> Vec<AccessSite> {
-        let blk = self.cfg.block(block);
+        let blk = self.body.cfg.block(block);
         let mut out = Vec::with_capacity(blk.fetch_slots() + 4);
         let mut seq = 0u32;
         let mut push = |kind, addrs, seq: &mut u32| {
@@ -445,7 +468,7 @@ impl Program {
     /// bounds; see [`FlowFacts::max_block_count`]).
     #[must_use]
     pub fn max_block_count(&self, block: BlockId) -> u64 {
-        self.flow.max_block_count(&self.loops, block)
+        self.body.flow.max_block_count(&self.body.loops, block)
     }
 }
 
@@ -553,6 +576,9 @@ mod tests {
         assert_eq!(p.init_mem(), &[(Addr(0x8000), 7)]);
     }
 
+    /// Each builder, applied to a clone, resets the clone's cache and
+    /// copies on write: the original keeps its content and its filled
+    /// cache.
     #[test]
     fn builders_reset_the_fingerprint_cache() {
         let builders: [fn(Program) -> Program; 3] = [
@@ -563,9 +589,13 @@ mod tests {
         for extend in builders {
             let cached = two_block_program();
             let before = program_fingerprint(&cached);
-            let extended = program_fingerprint(&extend(cached));
+            let extended = extend(cached.clone());
+            assert_eq!(extended.fingerprint_cache().get(), None);
+            let extended = program_fingerprint(&extended);
             assert_ne!(extended, before, "the builder changed the content");
             assert_eq!(extended, program_fingerprint(&extend(two_block_program())));
+            assert_eq!(cached, two_block_program(), "the original kept its content");
+            assert_eq!(cached.fingerprint_cache().get(), Some(&before));
         }
     }
 
@@ -577,7 +607,7 @@ mod tests {
         assert_eq!(fresh, cached);
         assert_eq!(format!("{fresh:?}"), format!("{cached:?}"));
         let copy = cached.clone();
-        assert_eq!(copy.fingerprint.get(), Some(&fp));
+        assert_eq!(copy.fingerprint_cache().get(), Some(&fp));
         assert_eq!(program_fingerprint(&fresh), fp);
     }
 }
