@@ -42,21 +42,6 @@ fn bench_ipet_ilp(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ipet_lp_relax(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ipet_lp_relaxation");
-    g.sample_size(10);
-    let p = matmul(8, Placement::default());
-    let costs = slot_costs(&p);
-    let opts = IpetOptions {
-        integer: false,
-        ..IpetOptions::default()
-    };
-    g.bench_function("matmul8", |b| {
-        b.iter(|| wcet_ipet(&p, &costs, &opts).expect("solves").wcet)
-    });
-    g.finish();
-}
-
 /// Cold vs warm: the same task solved under 8 scaled cost models — the
 /// interference-sweep access pattern. Cold pays phase 1 per point; warm
 /// pays it once and replays the cached basis for the rest.
@@ -141,7 +126,6 @@ fn bench_lp_sparse_vs_dense(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ipet_ilp,
-    bench_ipet_lp_relax,
     bench_ipet_warm_vs_cold,
     bench_lp_sparse_vs_dense
 );

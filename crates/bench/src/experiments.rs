@@ -24,11 +24,11 @@ use wcet_core::engine::{AnalysisEngine, SolverStats};
 use wcet_core::mode::{Footprint, Isolated, JointRefs, Solo};
 use wcet_core::report::Table;
 use wcet_core::static_ctrl::{
-    offset_state_sizes, tdma_offset_aware_wcet, wcet_unlocked_ctx, StaticParams,
+    offset_state_sizes, tdma_offset_aware_wcet, wcet_unlocked, StaticParams,
 };
 use wcet_core::validate::{run_machine, run_machine_watched, Observation};
 use wcet_core::yieldgraph::joint_yield_wcet;
-use wcet_core::{IpetOptions, SolveContext};
+use wcet_core::SolveContext;
 use wcet_ilp::IlpConfig;
 use wcet_ir::builder::CfgBuilder;
 use wcet_ir::cfg::Terminator;
@@ -912,7 +912,6 @@ fn column_sweep(lines: u32, iters: u32, stride: u64) -> Program {
 #[must_use]
 pub fn exp06() -> ExperimentRun {
     let base = CacheConfig::new(64, 8, 32, 4).expect("valid");
-    let opts = IpetOptions::default();
     let mut t = Table::new(
         "E06 — columnization vs bankization, 4 cores sharing a 16 KiB 8-way L2",
         &[
@@ -933,7 +932,7 @@ pub fn exp06() -> ExperimentRun {
     let ctx = SolveContext::new();
     let fix = FixpointSink::new();
     let wcet = |p: &Program, l2: CacheConfig| {
-        wcet_unlocked_ctx(p, &e06_params(l2), &opts, Some(&ctx), Some(&fix)).expect("analyses")
+        wcet_unlocked(p, &e06_params(l2), Some(&ctx), Some(&fix)).expect("analyses")
     };
     let mut rows = Vec::new();
     let mut bank_wins = 0usize;

@@ -17,14 +17,17 @@
 //! request produces.
 
 use crate::json::Json;
-use crate::scenario::stream::splitmix64 as mix;
 
-/// SplitMix64, re-exported for seed derivation outside this crate (the
-/// serve-side retry jitter uses it so client backoff and load-plan
-/// generation share one mixer).
+/// SplitMix64: the one deterministic mixer of this crate and its users —
+/// the campaign's validation sample, the seeded fault plan, load-plan
+/// generation and the serve-side retry jitter. Stable across platforms
+/// and runs.
 #[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    mix(x)
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// A tiny deterministic counter-mode RNG over [`splitmix64`]. Streams
@@ -46,9 +49,10 @@ impl Rng {
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.counter = self.counter.wrapping_add(1);
-        mix(self
-            .seed
-            .wrapping_add(self.counter.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        splitmix64(
+            self.seed
+                .wrapping_add(self.counter.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        )
     }
 
     /// Uniform in `(0, 1]` — never exactly zero, so `ln` is always
@@ -66,7 +70,9 @@ impl Rng {
 #[must_use]
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // ns offsets ≪ 2^63
 pub fn poisson_offsets_ns(seed: u64, stream: u64, count: usize, rate_per_sec: f64) -> Vec<u64> {
-    let mut rng = Rng::new(mix(seed ^ stream.wrapping_mul(0xa24b_aed4_963e_e407)));
+    let mut rng = Rng::new(splitmix64(
+        seed ^ stream.wrapping_mul(0xa24b_aed4_963e_e407),
+    ));
     let rate = rate_per_sec.max(1e-9);
     let mut t = 0.0f64; // seconds since the epoch
     (0..count)
@@ -120,7 +126,7 @@ impl Zipf {
 #[must_use]
 pub fn zipf_picks(seed: u64, requests: usize, pool: usize, exponent: f64) -> Vec<usize> {
     let zipf = Zipf::new(pool, exponent);
-    let mut rng = Rng::new(mix(seed ^ 0x05ee_d0f1_abe1_u64));
+    let mut rng = Rng::new(splitmix64(seed ^ 0x05ee_d0f1_abe1_u64));
     (0..requests)
         .map(|_| zipf.sample(rng.next_unit()))
         .collect()
@@ -135,7 +141,7 @@ pub fn zipf_picks(seed: u64, requests: usize, pool: usize, exponent: f64) -> Vec
 pub fn backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32, seed: u64) -> u64 {
     let base = base_ms.max(1);
     let exp = base.saturating_mul(1u64 << attempt.min(16));
-    let jitter = mix(seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15)) % base;
+    let jitter = splitmix64(seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15)) % base;
     exp.saturating_add(jitter).min(cap_ms.max(base))
 }
 
@@ -311,6 +317,13 @@ pub fn load_json(s: &LoadStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix_is_stable() {
+        // The on-disk sample selection must never drift between builds.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_ne!(splitmix64(1), splitmix64(2));
+    }
 
     #[test]
     fn rng_and_plans_are_deterministic() {

@@ -368,9 +368,12 @@ fn ends_with_newline(path: &Path) -> std::io::Result<bool> {
     Ok(last[0] == b'\n')
 }
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven by slicing-by-8:
+/// `CRC_TABLES[0]` is the bytewise table, and `CRC_TABLES[k][b]` is the
+/// CRC register after byte `b` and `k` zero bytes, so eight lookups fold
+/// eight bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -383,16 +386,39 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(b[4])]
+            ^ t[2][usize::from(b[5])]
+            ^ t[1][usize::from(b[6])]
+            ^ t[0][usize::from(b[7])];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -628,10 +654,35 @@ mod tests {
         }
     }
 
+    /// The bytewise table walk: the oracle for slicing-by-8.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_the_reference_vector() {
         // The standard IEEE check value: crc32(b"123456789").
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        #[test]
+        fn slicing_by_8_equals_the_bytewise_crc(
+            prefix in proptest::collection::vec(0u8..=255, 0..8),
+            body in proptest::collection::vec(0u8..=255, 0..71),
+        ) {
+            // The prefix shifts where the checked bytes start (offsets
+            // 0–7) inside one buffer.
+            let mut buf = prefix;
+            let start = buf.len();
+            buf.extend_from_slice(&body);
+            prop_assert_eq!(crc32(&buf[start..]), crc32_bytewise(&body));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! proptests assert that the surviving cells of a faulted campaign are
 //! byte-identical to a fault-free run.
 
-use super::stream::splitmix64;
+use crate::load::splitmix64;
 
 /// The seeded fault schedule of one campaign run (inert unless built
 /// with the `fault-inject` feature).

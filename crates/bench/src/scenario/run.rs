@@ -14,11 +14,9 @@ use wcet_cache::lock::select_static;
 use wcet_cache::partition::PartitionPlan;
 use wcet_core::engine::{AnalysisEngine, TaskArtifacts};
 use wcet_core::mode::{Footprint, Isolated, JointRefs, Solo};
-use wcet_core::static_ctrl::{
-    wcet_dynamic_lock_ctx, wcet_static_lock_ctx, wcet_unlocked_ctx, StaticParams,
-};
+use wcet_core::static_ctrl::{wcet_dynamic_lock, wcet_static_lock, wcet_unlocked, StaticParams};
 use wcet_core::validate::{observe_all, Observation};
-use wcet_core::{IpetOptions, SolveContext, WcetReport};
+use wcet_core::{SolveContext, WcetReport};
 use wcet_ir::fingerprint::{debug_fingerprint, TupleFingerprint};
 use wcet_ir::fixpoint::FixpointSink;
 use wcet_ir::synth::{parse_kernel, Placement};
@@ -398,7 +396,6 @@ pub(crate) fn analyze_engine_incremental(
 pub(crate) fn analyze_static(
     scn: &Scenario,
     built: &BuiltScenario,
-    ipet: &IpetOptions,
     ctx: &SolveContext,
     fix: &FixpointSink,
 ) -> Vec<TaskRow> {
@@ -408,22 +405,18 @@ pub(crate) fn analyze_static(
             let (core, thread) = built.placement[i];
             let wcet = StaticParams::from_machine(&built.machine, core, thread)
                 .and_then(|params| match scn.mode {
-                    ModeSpec::StaticCtrl => {
-                        wcet_unlocked_ctx(p, &params, ipet, Some(ctx), Some(fix))
-                    }
+                    ModeSpec::StaticCtrl => wcet_unlocked(p, &params, Some(ctx), Some(fix)),
                     ModeSpec::StaticLock { ways } => {
                         if params.l2.is_none() {
                             return Err(missing_l2(scn));
                         }
-                        wcet_static_lock_ctx(p, &params, ways, ipet, Some(ctx), Some(fix))
-                            .map(|(w, _)| w)
+                        wcet_static_lock(p, &params, ways, Some(ctx), Some(fix)).map(|(w, _)| w)
                     }
                     ModeSpec::DynamicLock { ways } => {
                         if params.l2.is_none() {
                             return Err(missing_l2(scn));
                         }
-                        wcet_dynamic_lock_ctx(p, &params, ways, ipet, Some(ctx), Some(fix))
-                            .map(|(w, _)| w)
+                        wcet_dynamic_lock(p, &params, ways, Some(ctx), Some(fix)).map(|(w, _)| w)
                     }
                     _ => unreachable!("engine modes route through analyze_engine_incremental"),
                 })

@@ -75,11 +75,13 @@ use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use wcet_core::engine::{AnalysisEngine, MemoDomain, MemoStats, SolverStats};
-use wcet_core::{IpetOptions, SolveContext};
+use wcet_core::SolveContext;
 use wcet_ir::fingerprint::{debug_fingerprint, program_fingerprint, TupleFingerprint};
 use wcet_ir::fixpoint::{FixpointSink, FixpointStats};
 use wcet_ir::Program;
 use wcet_sim::machine::SkipStats;
+
+use crate::load::splitmix64;
 
 use super::cache::{CachedRow, DiskCache};
 use super::fault::FaultPlan;
@@ -285,16 +287,6 @@ impl CampaignRun {
             0.0
         }
     }
-}
-
-/// SplitMix64: the deterministic sample hash (also a fine general
-/// mixer, reused by the seeded [`FaultPlan`]). Stable across platforms
-/// and runs.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The mixed-radix *reflected Gray* odometer: every `step` moves exactly
@@ -746,7 +738,6 @@ struct Shared {
     disk: Arc<DiskCache>,
     memo: Arc<MemoDomain>,
     ctx: Arc<SolveContext>,
-    ipet: IpetOptions,
     budget: CellBudget,
     fault: Option<FaultPlan>,
     /// Collect fresh rows for the disk memo (the sink appends them).
@@ -784,7 +775,6 @@ pub fn run_campaign_with(
             .ctx
             .clone()
             .unwrap_or_else(|| Arc::new(SolveContext::new())),
-        ipet: IpetOptions::default(),
         budget: opts.budget,
         fault: opts.fault,
         write_back: opts.disk.is_none() && opts.cache.is_some(),
@@ -1032,7 +1022,7 @@ fn analyze_cell(
         (prev.to_vec(), None, false, true)
     } else if scn.mode.is_static_family() {
         (
-            analyze_static(scn, built, &shared.ipet, &shared.ctx, fix),
+            analyze_static(scn, built, &shared.ctx, fix),
             None,
             false,
             false,
@@ -1336,12 +1326,5 @@ mod tests {
         assert_eq!(run.cells[1].scenario.tasks, ["crc:16"]);
         assert_eq!(run.duplicates, 2);
         assert_eq!(run.sound, 2);
-    }
-
-    #[test]
-    fn splitmix_is_stable() {
-        // The on-disk sample selection must never drift between builds.
-        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
-        assert_ne!(splitmix64(1), splitmix64(2));
     }
 }

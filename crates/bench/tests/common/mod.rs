@@ -15,7 +15,6 @@ use wcet_core::analyzer::Analyzer;
 use wcet_core::fingerprint::program_fingerprint;
 use wcet_core::mode::{Footprint, Isolated, JointRefs, Solo};
 use wcet_core::static_ctrl::{wcet_unlocked, StaticParams};
-use wcet_core::IpetOptions;
 
 /// Recomputes one engine-family row (task `i`) through a fresh
 /// sequential `Analyzer`.
@@ -81,9 +80,7 @@ pub fn assert_cell_matches_oracle(cell: &CellOutcome) {
         match cell.scenario.mode {
             ModeSpec::StaticCtrl => {
                 let direct = StaticParams::from_machine(&built.machine, row.core, row.thread)
-                    .and_then(|params| {
-                        wcet_unlocked(&built.programs[i], &params, &IpetOptions::default())
-                    })
+                    .and_then(|params| wcet_unlocked(&built.programs[i], &params, None, None))
                     .map_err(|e| e.to_string());
                 assert_eq!(got, direct, "{name}: static row {i} diverged");
             }

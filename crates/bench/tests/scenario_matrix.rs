@@ -21,7 +21,6 @@ use wcet_bench::{l2_bound_machine, l2_bound_victim};
 use wcet_core::engine::AnalysisEngine;
 use wcet_core::mode::{Footprint, JointRefs};
 use wcet_core::static_ctrl::{wcet_unlocked, StaticParams};
-use wcet_core::IpetOptions;
 use wcet_ir::synth::{matmul, Placement};
 
 /// A materialized run with every cell validated on the simulator.
@@ -206,8 +205,6 @@ fn exp05_matrix_rows_equal_the_direct_static_sweep() {
         policy_partition(&base_l2, AllocationPolicy::CoreBased, 2, 8).expect("fits");
     let (_, task_eff) =
         policy_partition(&base_l2, AllocationPolicy::TaskBased, 2, 8).expect("fits");
-    let opts = IpetOptions::default();
-
     let run = experiments::exp05();
     let mut policy_tasks = wcet_bench::suite(0);
     policy_tasks.push(switchy(32, 40, 40, Placement::slot(0)));
@@ -222,8 +219,8 @@ fn exp05_matrix_rows_equal_the_direct_static_sweep() {
     let task_based = row_wcets("E05a task-based");
     assert_eq!(core_based.len(), policy_tasks.len());
     for (i, p) in policy_tasks.iter().enumerate() {
-        let wc = wcet_unlocked(p, &params(core_eff), &opts).expect("analyses");
-        let wt = wcet_unlocked(p, &params(task_eff), &opts).expect("analyses");
+        let wc = wcet_unlocked(p, &params(core_eff), None, None).expect("analyses");
+        let wt = wcet_unlocked(p, &params(task_eff), None, None).expect("analyses");
         assert_eq!(core_based[i], wc, "{}: core-based diverged", p.name());
         assert_eq!(task_based[i], wt, "{}: task-based diverged", p.name());
     }
@@ -235,16 +232,21 @@ fn exp05_matrix_rows_equal_the_direct_static_sweep() {
     let dynm = row_wcets("E05b dynamic lock");
     for (i, p) in lock_tasks.iter().enumerate() {
         let pr = params(core_eff);
-        assert_eq!(none[i], wcet_unlocked(p, &pr, &opts).expect("analyses"));
+        assert_eq!(
+            none[i],
+            wcet_unlocked(p, &pr, None, None).expect("analyses")
+        );
         assert_eq!(
             stat[i],
-            wcet_static_lock(p, &pr, 3, &opts).expect("analyses").0,
+            wcet_static_lock(p, &pr, 3, None, None).expect("analyses").0,
             "{}: static lock diverged",
             p.name()
         );
         assert_eq!(
             dynm[i],
-            wcet_dynamic_lock(p, &pr, 3, &opts).expect("analyses").0,
+            wcet_dynamic_lock(p, &pr, 3, None, None)
+                .expect("analyses")
+                .0,
             "{}: dynamic lock diverged",
             p.name()
         );
@@ -287,7 +289,7 @@ fn exp08_blind_rows_equal_the_direct_unlocked_sweep() {
             pipeline: PipelineConfig::default(),
             mode: CoreMode::Single,
         };
-        let expected = wcet_unlocked(&task, &pr, &IpetOptions::default()).expect("analyses");
+        let expected = wcet_unlocked(&task, &pr, None, None).expect("analyses");
         let got = run
             .rows
             .iter()

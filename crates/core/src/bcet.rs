@@ -17,13 +17,13 @@
 
 use wcet_cache::analysis::Classification;
 use wcet_cache::multilevel::{analyze_hierarchy, HierarchyConfig};
-use wcet_ilp::{solve_ilp, CmpOp, IlpConfig, LinExpr, LpModel, Rat, SolveStatus, VarId};
-use wcet_ir::{BlockId, Edge, Program};
+use wcet_ilp::{solve_ilp, IlpConfig, LinExpr, LpModel, Rat, SolveStatus};
+use wcet_ir::Program;
 use wcet_pipeline::cost::{BlockCosts, CostInput};
 use wcet_pipeline::timing::instr_time;
 
 use crate::analyzer::{AnalysisError, Analyzer, TaskContext};
-use crate::ipet::IpetError;
+use crate::ipet::{FlowSystem, IpetError};
 
 /// Best-case block costs: every access charged its cheapest outcome.
 #[must_use]
@@ -95,66 +95,11 @@ pub fn best_block_costs(
 /// Returns [`IpetError`] if the flow system is infeasible or the solver
 /// gives up.
 pub fn bcet_ipet(program: &Program, costs: &BlockCosts, ilp: IlpConfig) -> Result<u64, IpetError> {
-    let cfg = program.cfg();
     let mut model = LpModel::new();
-    let x: std::collections::BTreeMap<BlockId, VarId> =
-        cfg.block_ids().map(|b| (b, model.add_int_var())).collect();
-    let f: std::collections::BTreeMap<Edge, VarId> = cfg
-        .edges()
-        .into_iter()
-        .map(|e| (e, model.add_int_var()))
-        .collect();
-    let f_entry = model.add_int_var();
-    let f_exit: std::collections::BTreeMap<BlockId, VarId> = cfg
-        .exits()
-        .iter()
-        .map(|&b| (b, model.add_int_var()))
-        .collect();
-    model.add_constraint(LinExpr::new().with_term(f_entry, 1), CmpOp::Eq, 1);
-    for b in cfg.block_ids() {
-        let mut inflow = LinExpr::new();
-        for &p in cfg.predecessors(b) {
-            inflow.add_term(f[&Edge::new(p, b)], 1);
-        }
-        if b == cfg.entry() {
-            inflow.add_term(f_entry, 1);
-        }
-        inflow.add_term(x[&b], -1);
-        model.add_constraint(inflow, CmpOp::Eq, 0);
-        let mut outflow = LinExpr::new();
-        for &s in cfg.successors(b) {
-            outflow.add_term(f[&Edge::new(b, s)], 1);
-        }
-        if let Some(&fx) = f_exit.get(&b) {
-            outflow.add_term(fx, 1);
-        }
-        outflow.add_term(x[&b], -1);
-        model.add_constraint(outflow, CmpOp::Eq, 0);
-    }
-    let loops = program.loops();
-    for l in loops.loops() {
-        let max = program.flow().bound(l.header).expect("validated").0;
-        let min = program.flow().min_bound(l.header);
-        let mut upper = LinExpr::new();
-        let mut lower = LinExpr::new();
-        for e in &l.back_edges {
-            upper.add_term(f[e], 1);
-            lower.add_term(f[e], 1);
-        }
-        for e in &l.entry_edges {
-            upper.add_term(f[e], -Rat::from(max));
-            lower.add_term(f[e], -Rat::from(min));
-        }
-        if l.header == cfg.entry() {
-            upper.add_term(f_entry, -Rat::from(max));
-            lower.add_term(f_entry, -Rat::from(min));
-        }
-        model.add_constraint(upper, CmpOp::Le, 0);
-        model.add_constraint(lower, CmpOp::Ge, 0);
-    }
+    let flow = FlowSystem::add(&mut model, program, true);
     // Minimise = maximise the negated objective.
     let mut obj = LinExpr::new();
-    for (b, &v) in &x {
+    for (b, &v) in &flow.x {
         obj.add_term(v, -Rat::from(costs.cost(*b)));
     }
     model.set_objective(obj);

@@ -10,8 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use wcet_ilp::{
-    solve_ilp, solve_lp, CmpOp, IlpConfig, IlpError, LinExpr, LpModel, Rat, SolveStats,
-    SolveStatus, VarId,
+    solve_ilp, CmpOp, IlpConfig, IlpError, LinExpr, LpModel, Rat, SolveStats, SolveStatus, VarId,
 };
 use wcet_ir::fingerprint::program_fingerprint;
 use wcet_ir::{BlockId, Edge, Program};
@@ -30,22 +29,10 @@ use wcet_pipeline::cost::BlockCosts;
 pub use wcet_ilp::SolveContext;
 
 /// IPET options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IpetOptions {
-    /// Solve to integrality (exact) or accept the LP relaxation (faster,
-    /// still a sound upper bound since relaxation ≥ ILP optimum).
-    pub integer: bool,
     /// Branch-and-bound limits.
     pub ilp: IlpConfig,
-}
-
-impl Default for IpetOptions {
-    fn default() -> Self {
-        IpetOptions {
-            integer: true,
-            ilp: IlpConfig::default(),
-        }
-    }
 }
 
 /// IPET failure.
@@ -89,15 +76,13 @@ impl From<IlpError> for IpetError {
 pub struct WcetBound {
     /// The bound, in cycles (startup included).
     pub wcet: u64,
-    /// Worst-case execution counts per block (empty for LP relaxations
-    /// with fractional optima).
+    /// Worst-case execution counts per block.
     pub block_counts: BTreeMap<BlockId, u64>,
     /// Model size: variables.
     pub num_vars: usize,
     /// Model size: constraints.
     pub num_constraints: usize,
-    /// Branch-and-bound nodes (1 when the relaxation was integral; 0 for
-    /// pure LP solves).
+    /// Branch-and-bound nodes (1 when the relaxation was integral).
     pub solver_nodes: usize,
     /// Solver-effort counters (pivots, warm starts, phase-1 skips).
     pub solver: SolveStats,
@@ -145,72 +130,136 @@ pub fn wcet_ipet_ctx(
     wcet_ipet_in(program, costs, opts, Some(ctx))
 }
 
-fn wcet_ipet_in(
+/// One program's IPET flow system inside an [`LpModel`]: the variables
+/// and rows every bound this crate computes by IPET shares — the WCET
+/// ([`wcet_ipet`]), the BCET ([`crate::bcet::bcet_ipet`]) and each
+/// thread of the yield-graph ILP ([`crate::yieldgraph::joint_yield_wcet`]).
+pub(crate) struct FlowSystem {
+    /// Execution count `x_b` per block.
+    pub(crate) x: BTreeMap<BlockId, VarId>,
+    /// Flow `f_e` per CFG edge.
+    pub(crate) f: BTreeMap<Edge, VarId>,
+    /// The flow into the entry block, fixed to 1.
+    pub(crate) f_entry: VarId,
+}
+
+impl FlowSystem {
+    /// Adds `program`'s variables (blocks, edges, the entry flow, one
+    /// exit flow per exit block) and rows to `model`: the program runs
+    /// once (`f_entry = 1`), inflow = `x_b` = outflow per block, and per
+    /// loop `Σ back − max·Σ entry ≤ 0`. With `min_iterations` each loop's
+    /// row is followed by `Σ back − min·Σ entry ≥ 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a loop has no bound (validated programs always do).
+    pub(crate) fn add(model: &mut LpModel, program: &Program, min_iterations: bool) -> FlowSystem {
+        let cfg = program.cfg();
+        let x: BTreeMap<BlockId, VarId> =
+            cfg.block_ids().map(|b| (b, model.add_int_var())).collect();
+        let f: BTreeMap<Edge, VarId> = cfg
+            .edges()
+            .into_iter()
+            .map(|e| (e, model.add_int_var()))
+            .collect();
+        let f_entry = model.add_int_var();
+        let f_exit: BTreeMap<BlockId, VarId> = cfg
+            .exits()
+            .iter()
+            .map(|&b| (b, model.add_int_var()))
+            .collect();
+
+        // The task executes exactly once.
+        model.add_constraint(LinExpr::new().with_term(f_entry, 1), CmpOp::Eq, 1);
+
+        // Flow conservation: inflow = x_b = outflow.
+        for b in cfg.block_ids() {
+            let mut inflow = LinExpr::new();
+            for &p in cfg.predecessors(b) {
+                inflow.add_term(f[&Edge::new(p, b)], 1);
+            }
+            if b == cfg.entry() {
+                inflow.add_term(f_entry, 1);
+            }
+            inflow.add_term(x[&b], -1);
+            model.add_constraint(inflow, CmpOp::Eq, 0);
+            let mut outflow = LinExpr::new();
+            for &s in cfg.successors(b) {
+                outflow.add_term(f[&Edge::new(b, s)], 1);
+            }
+            if let Some(&fx) = f_exit.get(&b) {
+                outflow.add_term(fx, 1);
+            }
+            outflow.add_term(x[&b], -1);
+            model.add_constraint(outflow, CmpOp::Eq, 0);
+        }
+
+        // Loop bounds: Σ back-edge flow against iterations × Σ entry flow.
+        for l in program.loops().loops() {
+            let per_entry = |iterations: u64| {
+                let mut expr = LinExpr::new();
+                for e in &l.back_edges {
+                    expr.add_term(f[e], 1);
+                }
+                for e in &l.entry_edges {
+                    expr.add_term(f[e], -Rat::from(iterations));
+                }
+                if l.header == cfg.entry() {
+                    expr.add_term(f_entry, -Rat::from(iterations));
+                }
+                expr
+            };
+            let max = program
+                .flow()
+                .bound(l.header)
+                .expect("validated program has bounds");
+            model.add_constraint(per_entry(max.0), CmpOp::Le, 0);
+            if min_iterations {
+                let min = program.flow().min_bound(l.header);
+                model.add_constraint(per_entry(min), CmpOp::Ge, 0);
+            }
+        }
+        FlowSystem { x, f, f_entry }
+    }
+
+    /// Adds `Σ cost_b·x_b` to `obj`, and each persistence extra once per
+    /// entry of its loop (once per run for a scope that heads no loop).
+    pub(crate) fn add_costs(&self, obj: &mut LinExpr, program: &Program, costs: &BlockCosts) {
+        for (b, &v) in &self.x {
+            obj.add_term(v, Rat::from(costs.cost(*b)));
+        }
+        let loops = program.loops();
+        for (&scope, &extra) in &costs.loop_entry_extras {
+            if extra == 0 {
+                continue;
+            }
+            match loops.headed_by(scope) {
+                Some(l) => {
+                    for e in &loops.loop_of(l).entry_edges {
+                        obj.add_term(self.f[e], Rat::from(extra));
+                    }
+                    if scope == program.cfg().entry() {
+                        obj.add_term(self.f_entry, Rat::from(extra));
+                    }
+                }
+                // Scope is not a loop header (residual region): charge once.
+                None => {
+                    obj.add_term(self.f_entry, Rat::from(extra));
+                }
+            }
+        }
+    }
+}
+
+/// [`wcet_ipet`], warm-started through `ctx` when one is given.
+pub(crate) fn wcet_ipet_in(
     program: &Program,
     costs: &BlockCosts,
     opts: &IpetOptions,
     ctx: Option<&SolveContext>,
 ) -> Result<WcetBound, IpetError> {
-    let cfg = program.cfg();
     let mut model = LpModel::new();
-
-    // Variables.
-    let x: BTreeMap<BlockId, VarId> = cfg.block_ids().map(|b| (b, model.add_int_var())).collect();
-    let edges = cfg.edges();
-    let f: BTreeMap<Edge, VarId> = edges.iter().map(|&e| (e, model.add_int_var())).collect();
-    let f_entry = model.add_int_var();
-    let f_exit: BTreeMap<BlockId, VarId> = cfg
-        .exits()
-        .iter()
-        .map(|&b| (b, model.add_int_var()))
-        .collect();
-
-    // The task executes exactly once.
-    model.add_constraint(LinExpr::new().with_term(f_entry, 1), CmpOp::Eq, 1);
-
-    // Flow conservation: inflow = x_b = outflow.
-    for b in cfg.block_ids() {
-        let mut inflow = LinExpr::new();
-        for &p in cfg.predecessors(b) {
-            inflow.add_term(f[&Edge::new(p, b)], 1);
-        }
-        if b == cfg.entry() {
-            inflow.add_term(f_entry, 1);
-        }
-        let mut outflow = LinExpr::new();
-        for &s in cfg.successors(b) {
-            outflow.add_term(f[&Edge::new(b, s)], 1);
-        }
-        if let Some(&fx) = f_exit.get(&b) {
-            outflow.add_term(fx, 1);
-        }
-        let mut in_minus_x = inflow.clone();
-        in_minus_x.add_term(x[&b], -1);
-        model.add_constraint(in_minus_x, CmpOp::Eq, 0);
-        let mut out_minus_x = outflow;
-        out_minus_x.add_term(x[&b], -1);
-        model.add_constraint(out_minus_x, CmpOp::Eq, 0);
-    }
-
-    // Loop bounds: Σ back-edge flow ≤ bound × Σ entry flow.
-    let loops = program.loops();
-    for l in loops.loops() {
-        let bound = program
-            .flow()
-            .bound(l.header)
-            .expect("validated program has bounds");
-        let mut expr = LinExpr::new();
-        for e in &l.back_edges {
-            expr.add_term(f[e], 1);
-        }
-        for e in &l.entry_edges {
-            expr.add_term(f[e], -Rat::from(bound.0));
-        }
-        if l.header == cfg.entry() {
-            expr.add_term(f_entry, -Rat::from(bound.0));
-        }
-        model.add_constraint(expr, CmpOp::Le, 0);
-    }
+    let flow = FlowSystem::add(&mut model, program, false);
 
     // Infeasible pairs (only sound for once-per-run edges: both source
     // blocks outside all loops).
@@ -218,59 +267,23 @@ fn wcet_ipet_in(
         let once = |e: &Edge| program.max_block_count(e.from) <= 1;
         if once(&pair.a) && once(&pair.b) {
             let expr = LinExpr::new()
-                .with_term(f[&pair.a], 1)
-                .with_term(f[&pair.b], 1);
+                .with_term(flow.f[&pair.a], 1)
+                .with_term(flow.f[&pair.b], 1);
             model.add_constraint(expr, CmpOp::Le, 1);
         }
     }
 
     // Objective: block costs + persistence extras on loop entries.
     let mut obj = LinExpr::new();
-    for (b, &v) in &x {
-        obj.add_term(v, Rat::from(costs.cost(*b)));
-    }
-    for (&scope, &extra) in &costs.loop_entry_extras {
-        if extra == 0 {
-            continue;
-        }
-        match loops.headed_by(scope) {
-            Some(l) => {
-                for e in &loops.loop_of(l).entry_edges {
-                    obj.add_term(f[e], Rat::from(extra));
-                }
-                if scope == cfg.entry() {
-                    obj.add_term(f_entry, Rat::from(extra));
-                }
-            }
-            None => {
-                // Scope is not a loop header (residual region): charge once.
-                obj.add_term(f_entry, Rat::from(extra));
-            }
-        }
-    }
+    flow.add_costs(&mut obj, program, costs);
     model.set_objective(obj);
 
     let num_vars = model.num_vars();
     let num_constraints = model.num_constraints();
 
-    let (solution, nodes) = match ctx {
-        Some(ctx) => {
-            let key = program_fingerprint(program);
-            if opts.integer {
-                let (s, stats) = ctx.solve_ilp(key, &model, opts.ilp)?;
-                (s, stats.nodes)
-            } else {
-                (ctx.solve_lp(key, &model), 0)
-            }
-        }
-        None => {
-            if opts.integer {
-                let (s, stats) = solve_ilp(&model, opts.ilp)?;
-                (s, stats.nodes)
-            } else {
-                (solve_lp(&model), 0)
-            }
-        }
+    let (solution, stats) = match ctx {
+        Some(ctx) => ctx.solve_ilp(program_fingerprint(program), &model, opts.ilp)?,
+        None => solve_ilp(&model, opts.ilp)?,
     };
     match solution.status {
         SolveStatus::Infeasible => return Err(IpetError::Infeasible),
@@ -281,23 +294,21 @@ fn wcet_ipet_in(
     // Sound rounding: the WCET is an upper bound, so take the ceiling.
     let obj = solution.objective;
     let wcet_path = u64::try_from(obj.ceil().max(0)).unwrap_or(u64::MAX);
-    let block_counts = if opts.integer {
-        x.iter()
-            .map(|(&b, &v)| {
-                let val = solution.value(v);
-                (b, u64::try_from(val.to_integer().unwrap_or(0)).unwrap_or(0))
-            })
-            .collect()
-    } else {
-        BTreeMap::new()
-    };
+    let block_counts = flow
+        .x
+        .iter()
+        .map(|(&b, &v)| {
+            let val = solution.value(v);
+            (b, u64::try_from(val.to_integer().unwrap_or(0)).unwrap_or(0))
+        })
+        .collect();
 
     Ok(WcetBound {
         wcet: wcet_path + costs.startup,
         block_counts,
         num_vars,
         num_constraints,
-        solver_nodes: nodes,
+        solver_nodes: stats.nodes,
         solver: solution.stats,
     })
 }
@@ -396,24 +407,6 @@ mod tests {
                 run.steps
             );
         }
-    }
-
-    #[test]
-    fn lp_relaxation_dominates_ilp() {
-        let p = crc(16, Placement::default());
-        let costs = slot_costs(&p);
-        let ilp = wcet_ipet(&p, &costs, &IpetOptions::default()).expect("solves");
-        let lp = wcet_ipet(
-            &p,
-            &costs,
-            &IpetOptions {
-                integer: false,
-                ilp: IlpConfig::default(),
-            },
-        )
-        .expect("solves");
-        assert!(lp.wcet >= ilp.wcet);
-        assert_eq!(lp.solver_nodes, 0);
     }
 
     #[test]

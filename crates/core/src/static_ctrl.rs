@@ -20,7 +20,7 @@ use wcet_pipeline::timing::{MemTimings, PipelineConfig};
 use wcet_sim::config::MachineConfig;
 
 use crate::analyzer::{AnalysisError, Analyzer};
-use crate::ipet::{wcet_ipet, wcet_ipet_ctx, IpetOptions, SolveContext};
+use crate::ipet::{wcet_ipet_in, IpetOptions, SolveContext};
 
 /// One IPET solve, warm-started through `ctx` when provided. Sweep
 /// drivers (exp05/exp06) re-analyse each task under many cache shapes;
@@ -28,15 +28,10 @@ use crate::ipet::{wcet_ipet, wcet_ipet_ctx, IpetOptions, SolveContext};
 /// every re-solve.
 fn ipet_wcet(
     program: &Program,
-    costs: &wcet_pipeline::cost::BlockCosts,
-    opts: &IpetOptions,
+    costs: &BlockCosts,
     ctx: Option<&SolveContext>,
 ) -> Result<u64, AnalysisError> {
-    let bound = match ctx {
-        Some(ctx) => wcet_ipet_ctx(program, costs, opts, ctx)?,
-        None => wcet_ipet(program, costs, opts)?,
-    };
-    Ok(bound.wcet)
+    Ok(wcet_ipet_in(program, costs, &IpetOptions::default(), ctx)?.wcet)
 }
 
 /// Parameters of a statically-controlled single-task study (the task's
@@ -120,27 +115,16 @@ impl StaticParams {
 
 /// Baseline: no locking.
 ///
+/// `ctx` warm-starts the IPET solve (bit-identical results, fewer simplex
+/// pivots across a sweep; `None` solves cold); `fix` collects the cache
+/// fixpoints' effort counters.
+///
 /// # Errors
 ///
 /// See [`AnalysisError`].
 pub fn wcet_unlocked(
     program: &Program,
     params: &StaticParams,
-    opts: &IpetOptions,
-) -> Result<u64, AnalysisError> {
-    wcet_unlocked_ctx(program, params, opts, None, None)
-}
-
-/// [`wcet_unlocked`] with an optional warm-start [`SolveContext`]
-/// (bit-identical results, fewer simplex pivots across a sweep).
-///
-/// # Errors
-///
-/// See [`AnalysisError`].
-pub fn wcet_unlocked_ctx(
-    program: &Program,
-    params: &StaticParams,
-    opts: &IpetOptions,
     ctx: Option<&SolveContext>,
     fix: Option<&FixpointSink>,
 ) -> Result<u64, AnalysisError> {
@@ -149,12 +133,13 @@ pub fn wcet_unlocked_ctx(
         fix.absorb(hierarchy.fixpoint_stats());
     }
     let costs = block_costs(program, &hierarchy, &params.cost_input())?;
-    ipet_wcet(program, &costs, opts, ctx)
+    ipet_wcet(program, &costs, ctx)
 }
 
 /// Static locking (Puaut & Decotigny \[27\]; Suhendra & Mitra \[37\]): lock
 /// the globally hottest lines into `lock_ways` ways of the L2 slice; the
-/// preload pass is charged at task start.
+/// preload pass is charged at task start. `ctx` and `fix` as in
+/// [`wcet_unlocked`].
 ///
 /// # Errors
 ///
@@ -167,25 +152,6 @@ pub fn wcet_static_lock(
     program: &Program,
     params: &StaticParams,
     lock_ways: u32,
-    opts: &IpetOptions,
-) -> Result<(u64, LockPlan), AnalysisError> {
-    wcet_static_lock_ctx(program, params, lock_ways, opts, None, None)
-}
-
-/// [`wcet_static_lock`] with an optional warm-start [`SolveContext`].
-///
-/// # Errors
-///
-/// See [`AnalysisError`].
-///
-/// # Panics
-///
-/// Panics if `params.l2` is `None`.
-pub fn wcet_static_lock_ctx(
-    program: &Program,
-    params: &StaticParams,
-    lock_ways: u32,
-    opts: &IpetOptions,
     ctx: Option<&SolveContext>,
     fix: Option<&FixpointSink>,
 ) -> Result<(u64, LockPlan), AnalysisError> {
@@ -203,11 +169,12 @@ pub fn wcet_static_lock_ctx(
     let preload =
         plan.preload_lines() as u64 * params.timings.mem_extra(params.bus_wait_bound.unwrap_or(0));
     costs.startup += preload;
-    Ok((ipet_wcet(program, &costs, opts, ctx)?, plan))
+    Ok((ipet_wcet(program, &costs, ctx)?, plan))
 }
 
 /// Dynamic locking (Suhendra & Mitra \[37\]): per-region (outermost loop)
-/// lock contents, reloaded at each region entry.
+/// lock contents, reloaded at each region entry. `ctx` and `fix` as in
+/// [`wcet_unlocked`].
 ///
 /// Each block's cost comes from the hierarchy analysis matching its
 /// region's lock contents; reload costs are charged on the region's loop
@@ -224,25 +191,6 @@ pub fn wcet_dynamic_lock(
     program: &Program,
     params: &StaticParams,
     lock_ways: u32,
-    opts: &IpetOptions,
-) -> Result<(u64, DynamicLockPlan), AnalysisError> {
-    wcet_dynamic_lock_ctx(program, params, lock_ways, opts, None, None)
-}
-
-/// [`wcet_dynamic_lock`] with an optional warm-start [`SolveContext`].
-///
-/// # Errors
-///
-/// See [`AnalysisError`].
-///
-/// # Panics
-///
-/// Panics if `params.l2` is `None`.
-pub fn wcet_dynamic_lock_ctx(
-    program: &Program,
-    params: &StaticParams,
-    lock_ways: u32,
-    opts: &IpetOptions,
     ctx: Option<&SolveContext>,
     fix: Option<&FixpointSink>,
 ) -> Result<(u64, DynamicLockPlan), AnalysisError> {
@@ -291,7 +239,7 @@ pub fn wcet_dynamic_lock_ctx(
         loop_entry_extras,
         startup,
     };
-    Ok((ipet_wcet(program, &costs, opts, ctx)?, plan))
+    Ok((ipet_wcet(program, &costs, ctx)?, plan))
 }
 
 fn locked_ways_vector(
@@ -509,7 +457,7 @@ mod tests {
         assert_eq!(derived.mode, CoreMode::Single);
         // And the derived parameters drive the same unlocked analysis.
         let p = bsort(10, Placement::slot(0));
-        let direct = wcet_unlocked(&p, &derived, &IpetOptions::default()).expect("analyses");
+        let direct = wcet_unlocked(&p, &derived, None, None).expect("analyses");
         assert!(direct > 0);
         // An arbiter that cannot bound the requester is an error.
         let mut unbounded = m.clone();
@@ -544,7 +492,7 @@ mod tests {
         let tdma = tdma2(16);
         // Offset-blind: every transaction charged the worst wait.
         pr.bus_wait_bound = tdma.worst_delay(0, pr.timings.bus_transfer);
-        let blind = wcet_unlocked(&p, &pr, &IpetOptions::default()).expect("ok");
+        let blind = wcet_unlocked(&p, &pr, None, None).expect("ok");
         let aware = tdma_offset_aware_wcet(&p, &pr, &tdma, 0).expect("ok");
         assert!(
             aware <= blind,
@@ -584,8 +532,8 @@ mod tests {
         pr.l2 = Some(CacheConfig::new(4, 2, 32, 4).expect("valid"));
         pr.l1d = CacheConfig::new(1, 1, 32, 1).expect("valid"); // force L2 traffic
         pr.l1i = CacheConfig::new(2, 1, 16, 1).expect("valid");
-        let unlocked = wcet_unlocked(&p, &pr, &IpetOptions::default()).expect("ok");
-        let (locked, plan) = wcet_static_lock(&p, &pr, 1, &IpetOptions::default()).expect("ok");
+        let unlocked = wcet_unlocked(&p, &pr, None, None).expect("ok");
+        let (locked, plan) = wcet_static_lock(&p, &pr, 1, None, None).expect("ok");
         assert!(!plan.lines.is_empty());
         assert!(
             locked <= unlocked + plan.preload_lines() as u64 * 50,
@@ -597,7 +545,7 @@ mod tests {
     fn dynamic_lock_regions_cover_program() {
         let p = bsort(6, Placement::default());
         let pr = params();
-        let (wcet, plan) = wcet_dynamic_lock(&p, &pr, 2, &IpetOptions::default()).expect("ok");
+        let (wcet, plan) = wcet_dynamic_lock(&p, &pr, 2, None, None).expect("ok");
         assert!(wcet > 0);
         for b in p.cfg().block_ids() {
             assert!(plan.region_of(b).is_some());

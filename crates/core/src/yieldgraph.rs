@@ -12,12 +12,13 @@
 //! `threads² × yield sites`, which experiment E07 measures together with
 //! solve effort.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use wcet_ilp::{solve_ilp, CmpOp, IlpConfig, IlpError, LinExpr, LpModel, Rat, SolveStatus, VarId};
-use wcet_ir::{BlockId, Edge, Instr, Program};
+use wcet_ir::{BlockId, Instr, Program};
 use wcet_pipeline::cost::BlockCosts;
+
+use crate::ipet::FlowSystem;
 
 /// Result of a joint yield-graph analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,74 +99,8 @@ pub fn joint_yield_wcet(
 
     // Per-thread IPET systems (each thread executes exactly once).
     for (tid, (program, cost)) in threads.iter().zip(costs).enumerate() {
-        let cfg = program.cfg();
-        let x: BTreeMap<BlockId, VarId> =
-            cfg.block_ids().map(|b| (b, model.add_int_var())).collect();
-        let f: BTreeMap<Edge, VarId> = cfg
-            .edges()
-            .into_iter()
-            .map(|e| (e, model.add_int_var()))
-            .collect();
-        let f_entry = model.add_int_var();
-        let f_exit: BTreeMap<BlockId, VarId> = cfg
-            .exits()
-            .iter()
-            .map(|&b| (b, model.add_int_var()))
-            .collect();
-        model.add_constraint(LinExpr::new().with_term(f_entry, 1), CmpOp::Eq, 1);
-        for b in cfg.block_ids() {
-            let mut inflow = LinExpr::new();
-            for &p in cfg.predecessors(b) {
-                inflow.add_term(f[&Edge::new(p, b)], 1);
-            }
-            if b == cfg.entry() {
-                inflow.add_term(f_entry, 1);
-            }
-            inflow.add_term(x[&b], -1);
-            model.add_constraint(inflow, CmpOp::Eq, 0);
-            let mut outflow = LinExpr::new();
-            for &s in cfg.successors(b) {
-                outflow.add_term(f[&Edge::new(b, s)], 1);
-            }
-            if let Some(&fx) = f_exit.get(&b) {
-                outflow.add_term(fx, 1);
-            }
-            outflow.add_term(x[&b], -1);
-            model.add_constraint(outflow, CmpOp::Eq, 0);
-        }
-        let loops = program.loops();
-        for l in loops.loops() {
-            let bound = program.flow().bound(l.header).expect("validated bounds");
-            let mut expr = LinExpr::new();
-            for e in &l.back_edges {
-                expr.add_term(f[e], 1);
-            }
-            for e in &l.entry_edges {
-                expr.add_term(f[e], -Rat::from(bound.0));
-            }
-            if l.header == cfg.entry() {
-                expr.add_term(f_entry, -Rat::from(bound.0));
-            }
-            model.add_constraint(expr, CmpOp::Le, 0);
-        }
-        for (b, &v) in &x {
-            obj.add_term(v, Rat::from(cost.cost(*b)));
-        }
-        for (&scope, &extra) in &cost.loop_entry_extras {
-            if extra == 0 {
-                continue;
-            }
-            if let Some(l) = loops.headed_by(scope) {
-                for e in &loops.loop_of(l).entry_edges {
-                    obj.add_term(f[e], Rat::from(extra));
-                }
-                if scope == cfg.entry() {
-                    obj.add_term(f_entry, Rat::from(extra));
-                }
-            } else {
-                obj.add_term(f_entry, Rat::from(extra));
-            }
-        }
+        let flow = FlowSystem::add(&mut model, program, false);
+        flow.add_costs(&mut obj, program, cost);
 
         // Yield edges: every execution of a yield block transfers control
         // to *some* other thread (or resumes self if alone). One variable
@@ -183,7 +118,7 @@ pub fn joint_yield_wcet(
                 obj.add_term(y, Rat::from(switch_cost));
             }
             // Σ transfers = executions of the yield block.
-            transfer_sum.add_term(x[&yb], -1);
+            transfer_sum.add_term(flow.x[&yb], -1);
             model.add_constraint(transfer_sum, CmpOp::Eq, 0);
         }
     }
@@ -212,6 +147,7 @@ pub fn joint_yield_wcet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use wcet_ir::builder::CfgBuilder;
     use wcet_ir::cfg::Terminator;
     use wcet_ir::flow::{FlowFacts, LoopBound};

@@ -9,7 +9,6 @@ use wcet_toolkit::arbiter::{RoundRobin, Slot, Tdma};
 use wcet_toolkit::cache::config::CacheConfig;
 use wcet_toolkit::core::report::Table;
 use wcet_toolkit::core::static_ctrl::{tdma_offset_aware_wcet, wcet_unlocked, StaticParams};
-use wcet_toolkit::core::IpetOptions;
 use wcet_toolkit::ir::synth::{single_path, Placement};
 use wcet_toolkit::pipeline::cost::CoreMode;
 use wcet_toolkit::pipeline::timing::{MemTimings, PipelineConfig};
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rr_wait = RoundRobin::bound(n_cores, transfer);
     let mut rr_params = params.clone();
     rr_params.bus_wait_bound = Some(rr_wait);
-    let rr = wcet_unlocked(&task, &rr_params, &IpetOptions::default())?;
+    let rr = wcet_unlocked(&task, &rr_params, None, None)?;
     table.row(["round-robin".into(), rr_wait.to_string(), rr.to_string()]);
 
     for slot_len in [transfer, 2 * transfer, 4 * transfer] {
@@ -57,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let blind_wait = tdma.worst_delay(0, transfer).expect("fits");
         let mut blind_params = params.clone();
         blind_params.bus_wait_bound = Some(blind_wait);
-        let blind = wcet_unlocked(&task, &blind_params, &IpetOptions::default())?;
+        let blind = wcet_unlocked(&task, &blind_params, None, None)?;
         table.row([
             format!("TDMA slot={slot_len} (offset-blind)"),
             blind_wait.to_string(),
